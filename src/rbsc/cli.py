@@ -12,7 +12,6 @@ import io
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import dp, fpt, generators, kernel, model, oracle
@@ -43,26 +42,17 @@ def _load_instance(path: str) -> model.Instance:
     return model.parse_instance(Path(path).read_text())
 
 
-def _max_reds_per_set(inst: model.Instance) -> int:
-    counts = [
-        sum(1 for e in mem if inst.color_of(e) == model.RED) for _, mem in inst.family
-    ]
-    return max(counts, default=0)
-
-
 def _pick_auto(inst: model.Instance, force: bool) -> str:
     if inst.is_weighted():
         return "brute"
+    red_counts = [len(split.red) for split in inst.index.sets.values()]
     if inst.budget_lines is None:
-        red_counts = [
-            sum(1 for e in mem if inst.color_of(e) == model.RED) for _, mem in inst.family
-        ]
-        if all(c == 0 or c >= 2 for c in red_counts):
+        if 1 not in red_counts:
             return "rbsc-two-red"
         if inst.num_red <= oracle.SUBSET_GUARD or force:
             return "red-subsets"
         return "brute"
-    if _max_reds_per_set(inst) <= 1 and inst.num_blue <= dp.MAX_BLUES:
+    if max(red_counts, default=0) <= 1 and inst.num_blue <= dp.MAX_BLUES:
         return "dp"
     return "fpt"
 
@@ -97,17 +87,9 @@ def _fmt_budget(b) -> str:
 
 
 def cmd_solve(args) -> int:
-    try:
-        inst = _load_instance(args.file)
-    except (RbscError, OSError) as exc:
-        print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    inst = _load_instance(args.file)
     start = time.perf_counter()
-    try:
-        sol, used, stats = _run_algo(args.algo, inst, args.force)
-    except RbscError as exc:
-        print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    sol, used, stats = _run_algo(args.algo, inst, args.force)
     millis = (time.perf_counter() - start) * 1000.0
     out = Path(args.out or args.file + ".solution")
     _write_atomic(out, model.serialize_solution(sol))
@@ -131,16 +113,8 @@ PIPELINES = {
 
 
 def cmd_kernelize(args) -> int:
-    try:
-        inst = _load_instance(args.file)
-    except (RbscError, OSError) as exc:
-        print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = PIPELINES[args.param](inst)
-    except RbscError as exc:
-        print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    inst = _load_instance(args.file)
+    result = PIPELINES[args.param](inst)
     trace_path = Path(args.trace or args.file + ".trace")
     _write_atomic(trace_path, model.format_trace(result.trace))
     print(
@@ -165,41 +139,37 @@ def cmd_kernelize(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        if args.kind in ("setcover", "setcover-uniqred"):
-            if not args.input:
-                print("error: --input <setcover file> required", file=sys.stderr)
-                return 2
-            sc = generators.parse_setcover(Path(args.input).read_text())
-            make = (
-                generators.gen_setcover_lines
-                if args.kind == "setcover"
-                else generators.gen_setcover_uniqred_lines
-            )
-            inst = make(sc)
-            default = Path(args.input).with_suffix(".rbsc")
-        elif args.kind in ("mcc-lines", "mcc-sets"):
-            if not args.graph:
-                print("error: --graph <mcgraph file> required", file=sys.stderr)
-                return 2
-            g = generators.parse_mcgraph(Path(args.graph).read_text())
-            if args.kind == "mcc-lines":
-                d = g.regular_degree()
-                if d is None:
-                    raise generators.NotRegular("graph is not regular")
-                inst = generators.gen_mcc_lines(g, d)
-            else:
-                inst = generators.gen_mcc_setsystem(g)
-            default = Path(args.graph).with_suffix(".rbsc")
-        elif args.kind == "random":
-            profile = PROFILES[args.profile]
-            inst = generators.gen_random(args.seed, profile)
-            default = Path(f"random-{args.profile}-{args.seed}.rbsc")
-        else:
-            print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
+    if args.kind in ("setcover", "setcover-uniqred"):
+        if not args.input:
+            print("error: --input <setcover file> required", file=sys.stderr)
             return 2
-    except (RbscError, OSError) as exc:
-        print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
+        sc = generators.parse_setcover(Path(args.input).read_text())
+        make = (
+            generators.gen_setcover_lines
+            if args.kind == "setcover"
+            else generators.gen_setcover_uniqred_lines
+        )
+        inst = make(sc)
+        default = Path(args.input).with_suffix(".rbsc")
+    elif args.kind in ("mcc-lines", "mcc-sets"):
+        if not args.graph:
+            print("error: --graph <mcgraph file> required", file=sys.stderr)
+            return 2
+        g = generators.parse_mcgraph(Path(args.graph).read_text())
+        if args.kind == "mcc-lines":
+            d = g.regular_degree()
+            if d is None:
+                raise generators.NotRegular("graph is not regular")
+            inst = generators.gen_mcc_lines(g, d)
+        else:
+            inst = generators.gen_mcc_setsystem(g)
+        default = Path(args.graph).with_suffix(".rbsc")
+    elif args.kind == "random":
+        profile = PROFILES[args.profile]
+        inst = generators.gen_random(args.seed, profile)
+        default = Path(f"random-{args.profile}-{args.seed}.rbsc")
+    else:
+        print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
         return 2
     report = model.validate(inst)
     if not report.ok:
@@ -216,20 +186,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        inst = _load_instance(args.file)
-        claim = model.parse_solution(Path(args.solution).read_text())
-    except (RbscError, OSError) as exc:
-        print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    inst = _load_instance(args.file)
+    claim = model.parse_solution(Path(args.solution).read_text())
     if not claim.decision:
         print("solution file claims no; nothing to verify")
         return 1
-    try:
-        sol = model.verify(inst, claim.chosen)
-    except RbscError as exc:
-        print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    sol = model.verify(inst, claim.chosen)
     print(f"sets {len(sol.chosen)}")
     print(f"blue {sol.blue_covered} of {inst.num_blue}")
     print(f"red {sol.red_covered} budget {inst.budget_red}")
@@ -273,12 +235,7 @@ def cmd_bench(args) -> int:
         if a not in ALGOS:
             print(f"error: unknown algorithm {a!r}", file=sys.stderr)
             return 2
-    jobs = [(path, algo) for path in corpus for algo in algos]
-    env_cap = os.environ.get("RBSC_THREADS")
-    workers = int(env_cap) if env_cap else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(jobs)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda j: _bench_one(j[0], j[1], args.force), jobs))
+    rows = [_bench_one(path, algo, args.force) for path in corpus for algo in algos]
     rows.sort(key=lambda r: (r["instance"], r["algo"]))
     fields = ["instance", "algo", "decision", "millis", "branches", "tuples"]
     buf = io.StringIO()
@@ -351,7 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # the 0/1/2 exit contract holds for every input
+        print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():

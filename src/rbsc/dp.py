@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import model
 from .errors import PreconditionViolated, RedDegreeExceeded, TooManyBlues
-from .model import BLUE, RED, Instance, Solution
+from .model import Instance, Solution
 
 MAX_BLUES = 24
 
@@ -45,27 +45,21 @@ class _Solver:
             raise PreconditionViolated("a finite line budget is required")
         if instance.is_weighted():
             raise PreconditionViolated("red weights must all be 1 for the subset program")
-        blues = sorted(instance.blue_ids)
-        if len(blues) > MAX_BLUES:
-            raise TooManyBlues(f"{len(blues)} blue elements exceed the limit of {MAX_BLUES}")
+        ix = instance.index
+        if len(ix.blues) > MAX_BLUES:
+            raise TooManyBlues(f"{len(ix.blues)} blue elements exceed the limit of {MAX_BLUES}")
         self.instance = instance
-        self.blues = tuple(blues)
-        self.blue_bit = {eid: 1 << i for i, eid in enumerate(blues)}
+        self.blues = ix.blues
         self.infinity = instance.num_sets + 1
         reds_seen: set[int] = set()
         self.set_blue_mask: dict[int, int] = {}
         self.set_red: dict[int, int | None] = {}
-        for sid, mem in instance.family:
-            reds = [e for e in mem if instance.color_of(e) == RED]
-            if len(reds) >= 2:
-                raise RedDegreeExceeded(f"set {sid} has {len(reds)} red elements")
-            bm = 0
-            for e in mem:
-                if instance.color_of(e) == BLUE:
-                    bm |= self.blue_bit[e]
-            self.set_blue_mask[sid] = bm
-            self.set_red[sid] = reds[0] if reds else None
-            reds_seen.update(reds)
+        for sid, split in ix.sets.items():
+            if len(split.red) >= 2:
+                raise RedDegreeExceeded(f"set {sid} has {len(split.red)} red elements")
+            self.set_blue_mask[sid] = split.blue_mask
+            self.set_red[sid] = next(iter(split.red), None)
+            reds_seen |= split.red
         self.reds = tuple(sorted(reds_seen))
         # Sets usable while paying for a given red: red-free always, plus the
         # sets owning exactly that red.

@@ -37,7 +37,7 @@ from math import comb
 
 from . import kernel, model
 from .errors import DegreeExceeded, PreconditionViolated
-from .model import BLUE, RED, Instance, Solution
+from .model import Instance, Solution
 
 
 @dataclass
@@ -164,14 +164,13 @@ class _OneBlueContext:
 
 def _context_from_instance(instance: Instance) -> _OneBlueContext:
     sets = []
-    for sid, mem in instance.family:
-        blues = [e for e in mem if instance.color_of(e) == BLUE]
-        if len(blues) != 1:
+    for sid, split in instance.index.sets.items():
+        if len(split.blue) != 1:
             raise PreconditionViolated(
-                f"set {sid} has {len(blues)} blue elements; exactly one is required"
+                f"set {sid} has {len(split.blue)} blue elements; exactly one is required"
             )
-        reds = frozenset(e for e in mem if instance.color_of(e) == RED)
-        sets.append((sid, blues[0], reds))
+        (blue,) = split.blue
+        sets.append((sid, blue, split.red))
     return _OneBlueContext(instance.blue_ids, sets)
 
 
@@ -351,37 +350,37 @@ def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solut
         return None
     reduced = result.instance
     k_l, k_r = reduced.budget_lines, reduced.budget_red
-    multi: list[tuple[int, frozenset[int], frozenset[int]]] = []
-    single: list[tuple[int, int, frozenset[int]]] = []
-    for sid, mem in reduced.family:
-        blues = frozenset(e for e in mem if reduced.color_of(e) == BLUE)
-        reds = frozenset(e for e in mem if reduced.color_of(e) == RED)
-        if len(blues) >= 2:
-            multi.append((sid, blues, reds))
+    ix = reduced.index
+    multi: list[tuple[int, int, int]] = []
+    single: list[tuple[int, int, int, frozenset[int]]] = []
+    for sid, split in ix.sets.items():
+        if len(split.blue) >= 2:
+            multi.append((sid, split.blue_mask, split.red_mask))
         else:
-            single.append((sid, next(iter(blues)), reds))
-    all_blues = reduced.blue_ids
+            (blue,) = split.blue
+            single.append((sid, blue, split.blue_mask, split.red))
     for size in range(min(k_l, len(multi)) + 1):
         for picked in combinations(multi, size):
-            covered_blue: set[int] = set()
-            covered_red: set[int] = set()
-            for _, bl, rd in picked:
-                covered_blue |= bl
-                covered_red |= rd
-            if len(covered_red) > k_r:
+            blue_mask = red_mask = 0
+            for _, bm, rm in picked:
+                blue_mask |= bm
+                red_mask |= rm
+            spent = red_mask.bit_count()
+            if spent > k_r:
                 continue
             if stats:
                 stats.branches += 1
             rem_lines = k_l - size
-            rem_red = k_r - len(covered_red)
-            rem_blues = all_blues - covered_blue
-            if len(rem_blues) > rem_lines:
+            rem_red = k_r - spent
+            if len(ix.blues) - blue_mask.bit_count() > rem_lines:
                 continue
+            covered_red = ix.ids(red_mask, ix.reds)
             branch_sets = [
                 (sid, blue, reds - covered_red)
-                for sid, blue, reds in single
-                if blue not in covered_blue
+                for sid, blue, bm, reds in single
+                if not bm & blue_mask
             ]
+            rem_blues = ix.blue_ids - ix.ids(blue_mask, ix.blues)
             ctx = _OneBlueContext(rem_blues, branch_sets)
             fam = _solve_one_blue_core(ctx, rem_lines, rem_red, stats)
             if fam is not None:
@@ -402,10 +401,9 @@ def solve_bounded_red(
     _require_finite_budget(instance)
     if d < 0:
         raise ValueError("d must be nonnegative")
-    for sid, mem in instance.family:
-        reds = sum(1 for e in mem if instance.color_of(e) == RED)
-        if reds > d:
-            raise DegreeExceeded(f"set {sid} has {reds} red elements, more than d={d}")
+    for sid, split in instance.index.sets.items():
+        if len(split.red) > d:
+            raise DegreeExceeded(f"set {sid} has {len(split.red)} red elements, more than d={d}")
     capped = min(instance.budget_red, d * instance.budget_lines)
     sol = solve_kl_kr(model.with_budgets(instance, budget_red=capped), stats=stats)
     if sol is None:
@@ -423,9 +421,8 @@ def solve_two_blue_special(
     """
     _require_unweighted(instance)
     _require_finite_budget(instance)
-    for sid, mem in instance.family:
-        blues = sum(1 for e in mem if instance.color_of(e) == BLUE)
-        if blues == 1:
+    for sid, split in instance.index.sets.items():
+        if len(split.blue) == 1:
             raise PreconditionViolated(
                 f"set {sid} has exactly one blue element; zero or >= 2 required"
             )
@@ -434,27 +431,15 @@ def solve_two_blue_special(
         return None
     reduced = result.instance
     k_l, k_r = reduced.budget_lines, reduced.budget_red
-    blues = sorted(reduced.blue_ids)
-    blue_bit = {eid: 1 << i for i, eid in enumerate(blues)}
-    full = (1 << len(blues)) - 1
-    table = []
-    for sid, mem in reduced.family:
-        bm = 0
-        reds = set()
-        for e in mem:
-            if reduced.color_of(e) == BLUE:
-                bm |= blue_bit[e]
-            else:
-                reds.add(e)
-        table.append((sid, bm, frozenset(reds)))
+    full = (1 << reduced.num_blue) - 1
+    table = [(sid, split.blue_mask, split.red_mask) for sid, split in reduced.index.sets.items()]
     for size in range(min(k_l, len(table)) + 1):
         for picked in combinations(table, size):
-            bm = 0
-            reds: set[int] = set()
+            bm = rm = 0
             for _, b, r in picked:
                 bm |= b
-                reds |= r
-            if bm == full and len(reds) <= k_r:
+                rm |= r
+            if bm == full and rm.bit_count() <= k_r:
                 chosen = result.forced | {sid for sid, _, _ in picked}
                 return _finish(instance, chosen, result.forced)
     return None
@@ -473,9 +458,8 @@ def solve_rbsc_kr_two_red(
     _require_unweighted(instance)
     if instance.budget_lines is not None:
         raise PreconditionViolated("an unbounded line budget is required")
-    for sid, mem in instance.family:
-        reds = sum(1 for e in mem if instance.color_of(e) == RED)
-        if reds == 1:
+    for sid, split in instance.index.sets.items():
+        if len(split.red) == 1:
             raise PreconditionViolated(
                 f"set {sid} has exactly one red element; zero or >= 2 required"
             )
@@ -501,14 +485,3 @@ def solve_rbsc_kr_two_red(
         return None
     return _finish(instance, frozenset(forced) | sub.chosen, frozenset(forced) | sub.forced)
 
-
-def intersection_graph(instance: Instance, set_ids=None) -> dict[int, frozenset[int]]:
-    """Adjacency over sets; an edge joins two sets with a common element."""
-    ids = sorted(instance.set_ids if set_ids is None else set_ids)
-    adj: dict[int, set[int]] = {sid: set() for sid in ids}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            if instance.members(a) & instance.members(b):
-                adj[a].add(b)
-                adj[b].add(a)
-    return {sid: frozenset(n) for sid, n in adj.items()}

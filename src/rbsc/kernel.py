@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import model
 from .errors import BoundedBudget, NotLinearSystem
-from .model import BLUE, RED, Instance, TraceEntry
+from .model import Instance, TraceEntry
 
 
 @dataclass
@@ -44,19 +44,9 @@ def _unchanged(instance: Instance) -> RuleOutcome:
     return RuleOutcome(False, instance)
 
 
-def _red_weight_of_set(instance: Instance, sid: int) -> int:
-    return sum(
-        instance.red_weight(e) for e in instance.members(sid) if instance.color_of(e) == RED
-    )
-
-
 def rule_delete_red_only(instance: Instance) -> RuleOutcome:
     """Remove every set that contains no blue element."""
-    drop = [
-        sid
-        for sid, mem in instance.family
-        if not any(instance.color_of(e) == BLUE for e in mem)
-    ]
+    drop = [sid for sid, split in instance.index.sets.items() if not split.blue]
     if not drop:
         return _unchanged(instance)
     entry = TraceEntry("delete_red_only", removed_sets=tuple(drop))
@@ -66,7 +56,7 @@ def rule_delete_red_only(instance: Instance) -> RuleOutcome:
 def rule_delete_heavy_red(instance: Instance) -> RuleOutcome:
     """Remove every set whose red weight alone exceeds the red budget."""
     k_r = instance.budget_red
-    drop = [sid for sid, _ in instance.family if _red_weight_of_set(instance, sid) > k_r]
+    drop = [sid for sid, split in instance.index.sets.items() if split.red_weight > k_r]
     if not drop:
         return _unchanged(instance)
     entry = TraceEntry("delete_heavy_red", removed_sets=tuple(drop))
@@ -87,15 +77,11 @@ def rule_force_big_blue(instance: Instance) -> RuleOutcome:
     if not model.is_linear_system(instance):
         raise NotLinearSystem("two sets share two or more elements")
     k_l = instance.budget_lines
-    target = None
-    for sid, mem in instance.family:
-        blues = sum(1 for e in mem if instance.color_of(e) == BLUE)
-        if blues >= k_l + 1:
-            target = sid
-            break
+    splits = instance.index.sets
+    target = next((sid for sid, split in splits.items() if len(split.blue) >= k_l + 1), None)
     if target is None:
         return _unchanged(instance)
-    red_w = _red_weight_of_set(instance, target)
+    red_w = splits[target].red_weight
     new_kl = k_l - 1
     new_kr = instance.budget_red - red_w
     if new_kl < 0 or new_kr < 0:
@@ -121,11 +107,7 @@ def rule_take_blue_only(instance: Instance) -> RuleOutcome:
     """With no bound on chosen sets, red-free sets are always taken."""
     if instance.budget_lines is not None:
         raise BoundedBudget("rule is only safe with an unbounded line budget")
-    take = [
-        sid
-        for sid, mem in instance.family
-        if not any(instance.color_of(e) == RED for e in mem)
-    ]
+    take = [sid for sid, split in instance.index.sets.items() if not split.red]
     if not take:
         return _unchanged(instance)
     covered = set()
@@ -159,7 +141,7 @@ def _post_checks(instance: Instance) -> str | None:
     covered = set()
     for _, mem in instance.family:
         covered |= mem
-    for eid in sorted(instance.blue_ids):
+    for eid in instance.index.blues:
         if eid not in covered:
             return f"blue element {eid} lies in no set"
     k_l = instance.budget_lines
@@ -238,9 +220,10 @@ def kernelize_ell(instance: Instance) -> KernelResult:
     for _, mem in inst.family:
         for eid in mem:
             occurrences[eid] = occurrences.get(eid, 0) + 1
-    isolated = [
-        e.eid for e in inst.elements if e.color == RED and occurrences.get(e.eid, 0) == 0
-    ]
+    # Dropping isolated reds, and merging one set's exclusive reds, leave the
+    # members of every other set as they were: one split serves the pass.
+    splits = inst.index.sets
+    isolated = [eid for eid in inst.index.reds if eid not in occurrences]
     if isolated:
         trace.append(
             TraceEntry(
@@ -250,10 +233,8 @@ def kernelize_ell(instance: Instance) -> KernelResult:
             )
         )
         inst = model.delete_elements(inst, isolated)
-    for sid, mem in inst.family:
-        exclusive = sorted(
-            e for e in mem if inst.color_of(e) == RED and occurrences[e] == 1
-        )
+    for sid, split in splits.items():
+        exclusive = sorted(e for e in split.red if occurrences[e] == 1)
         if not exclusive:
             continue
         keep = exclusive[0]
@@ -291,14 +272,13 @@ def kernelize_kl_r(instance: Instance) -> KernelResult:
     trace = list(base.trace)
     keeper: dict[int, int] = {}
     drop = []
-    for sid, mem in inst.family:
-        if len(mem) == 1:
-            (eid,) = mem
-            if inst.color_of(eid) == BLUE:
-                if eid in keeper:
-                    drop.append(sid)
-                else:
-                    keeper[eid] = sid
+    for sid, split in inst.index.sets.items():
+        if len(inst.members(sid)) == 1 and split.blue:
+            (eid,) = split.blue
+            if eid in keeper:
+                drop.append(sid)
+            else:
+                keeper[eid] = sid
     if drop:
         trace.append(
             TraceEntry(

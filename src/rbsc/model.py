@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from typing import NamedTuple
 
 from .errors import ParseError, SemanticError, UnknownSetId
 from .geometry import PlanePoint, canonical_line
@@ -81,7 +84,25 @@ class Instance:
         object.__setattr__(self, "_by_eid", by_eid)
         object.__setattr__(self, "_members", members)
 
-    # -- derived views (counts are never stored, always recomputed) --
+    # -- derived views (computed once per instance, on first use) --
+
+    @cached_property
+    def index(self) -> InstanceIndex:
+        return InstanceIndex(self)
+
+    @cached_property
+    def overlaps(self) -> tuple[tuple[int, int], ...]:
+        """Ascending pairs of set ids whose sets share two or more elements.
+
+        Hashing every member pair to the sets holding it takes O(sum of
+        |S|^2), not O(ell^2) pairwise intersections.  Kept apart from the
+        index so that validate does not pay for the color split.
+        """
+        holders: dict[tuple[int, int], list[int]] = {}
+        for sid, mem in self.family:
+            for pair in combinations(sorted(mem), 2):
+                holders.setdefault(pair, []).append(sid)
+        return tuple(sorted({p for sids in holders.values() for p in combinations(sids, 2)}))
 
     def element(self, eid: int) -> Element:
         return self._by_eid[eid]
@@ -98,29 +119,29 @@ class Instance:
 
     @property
     def blue_ids(self) -> frozenset[int]:
-        return frozenset(e.eid for e in self.elements if e.color == BLUE)
+        return self.index.blue_ids
 
     @property
     def red_ids(self) -> frozenset[int]:
-        return frozenset(e.eid for e in self.elements if e.color == RED)
+        return self.index.red_ids
 
     @property
     def num_blue(self) -> int:
-        return sum(1 for e in self.elements if e.color == BLUE)
+        return len(self.index.blues)
 
     @property
     def num_red(self) -> int:
-        return sum(1 for e in self.elements if e.color == RED)
+        return len(self.index.reds)
 
     @property
     def num_sets(self) -> int:
         return len(self.family)
 
     def blue_members(self, sid: int) -> frozenset[int]:
-        return frozenset(e for e in self._members[sid] if self.color_of(e) == BLUE)
+        return self.index.sets[sid].blue
 
     def red_members(self, sid: int) -> frozenset[int]:
-        return frozenset(e for e in self._members[sid] if self.color_of(e) == RED)
+        return self.index.sets[sid].red
 
     def color_of(self, eid: int) -> str:
         return self._by_eid[eid].color
@@ -129,7 +150,53 @@ class Instance:
         return self._by_eid[eid].weight
 
     def is_weighted(self) -> bool:
-        return any(e.weight != 1 for e in self.elements)
+        return self.index.weighted
+
+
+class SetSplit(NamedTuple):
+    """One set's members split by color.
+
+    Bit i of blue_mask (red_mask) stands for the i-th smallest blue (red) id.
+    """
+
+    blue: frozenset[int]
+    red: frozenset[int]
+    red_weight: int
+    blue_mask: int
+    red_mask: int
+
+
+class InstanceIndex:
+    """Per-set color splits and their bit numbering, built once per instance.
+
+    Members naming no element of the universe are in neither split; validate
+    reports them.
+    """
+
+    def __init__(self, instance: Instance):
+        self.blues = tuple(e.eid for e in instance.elements if e.color == BLUE)
+        self.reds = tuple(e.eid for e in instance.elements if e.color == RED)
+        self.blue_ids = frozenset(self.blues)
+        self.red_ids = frozenset(self.reds)
+        self.weighted = any(e.weight != 1 for e in instance.elements)
+        blue_bit = {eid: 1 << i for i, eid in enumerate(self.blues)}
+        red_bit = {eid: 1 << i for i, eid in enumerate(self.reds)}
+        self.sets: dict[int, SetSplit] = {}
+        for sid, mem in instance.family:
+            blue = mem & self.blue_ids
+            red = mem & self.red_ids
+            self.sets[sid] = SetSplit(
+                blue,
+                red,
+                sum(instance.red_weight(e) for e in red),
+                sum(blue_bit[e] for e in blue),
+                sum(red_bit[e] for e in red),
+            )
+
+    @staticmethod
+    def ids(mask: int, order: tuple[int, ...]) -> frozenset[int]:
+        """The ids whose bits are set in mask; order is blues or reds."""
+        return frozenset(eid for i, eid in enumerate(order) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -210,26 +277,18 @@ def validate(instance: Instance) -> ValidationReport:
         for el in instance.elements:
             if el.point is not None:
                 rep.violations.append(f"element {el.eid} carries coordinates in abstract mode")
-    fam = instance.family
-    for i in range(len(fam)):
-        for j in range(i + 1, len(fam)):
-            common = fam[i][1] & fam[j][1]
-            if len(common) >= 2:
-                rep.linear_system = False
-                rep.warnings.append(
-                    f"not a linear set system: sets {fam[i][0]} and {fam[j][0]} "
-                    f"share {len(common)} elements"
-                )
+    overlaps = instance.overlaps
+    rep.linear_system = not overlaps
+    for a, b in overlaps:
+        common = instance.members(a) & instance.members(b)
+        rep.warnings.append(
+            f"not a linear set system: sets {a} and {b} share {len(common)} elements"
+        )
     return rep
 
 
 def is_linear_system(instance: Instance) -> bool:
-    fam = instance.family
-    for i in range(len(fam)):
-        for j in range(i + 1, len(fam)):
-            if len(fam[i][1] & fam[j][1]) >= 2:
-                return False
-    return True
+    return not instance.overlaps
 
 
 def verify(instance: Instance, chosen) -> Solution:
@@ -239,23 +298,17 @@ def verify(instance: Instance, chosen) -> Solution:
     chosen sets cover them.
     """
     chosen = frozenset(chosen)
-    known = set(instance.set_ids)
+    splits = instance.index.sets
     for sid in chosen:
-        if sid not in known:
+        if sid not in splits:
             raise UnknownSetId(f"set {sid} is not in the family")
-    covered: set[int] = set()
+    blue: set[int] = set()
+    red: set[int] = set()
     for sid in chosen:
-        covered |= instance.members(sid)
-    blue_covered = 0
-    red_covered = 0
-    for eid in covered:
-        if not instance.has_element(eid):
-            continue
-        el = instance.element(eid)
-        if el.color == BLUE:
-            blue_covered += 1
-        else:
-            red_covered += el.weight
+        blue |= splits[sid].blue
+        red |= splits[sid].red
+    blue_covered = len(blue)
+    red_covered = sum(instance.red_weight(e) for e in red)
     feasible = (
         blue_covered == instance.num_blue
         and red_covered <= instance.budget_red
@@ -291,21 +344,25 @@ def serialize_instance(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_digits(token: str) -> bool:
+    """ASCII digits only: str.isdigit also holds for '²' and '٣'."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_rational(token: str, lineno: int) -> Fraction:
     num, sep, den = token.partition("/")
     if not sep:
         raise SemanticError(lineno, f"bad rational {token!r}: expected n/d")
-    try:
-        n, d = int(num), int(den)
-    except ValueError:
-        raise SemanticError(lineno, f"bad rational {token!r}") from None
+    if not (_is_digits(num.removeprefix("-")) and _is_digits(den)):
+        raise SemanticError(lineno, f"bad rational {token!r}")
+    n, d = int(num), int(den)
     if d <= 0:
         raise SemanticError(lineno, f"bad rational {token!r}: denominator must be positive")
     return Fraction(n, d)
 
 
 def _parse_nonneg(token: str, lineno: int, what: str) -> int:
-    if not token.isdigit():
+    if not _is_digits(token):
         raise ParseError(lineno, f"expected nonnegative integer for {what}, got {token!r}")
     return int(token)
 
@@ -362,7 +419,7 @@ def parse_instance(text: str) -> Instance:
             weight = 1
             if rest and rest[-1].startswith("w="):
                 wtok = rest.pop()[2:]
-                if not wtok.isdigit() or int(wtok) < 1:
+                if not _is_digits(wtok) or int(wtok) < 1:
                     raise SemanticError(lineno, f"bad weight {wtok!r}")
                 if color == BLUE:
                     raise SemanticError(lineno, "weight on a blue point")

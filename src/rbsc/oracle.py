@@ -10,27 +10,16 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import BoundedBudget, TooLarge
-from .model import BLUE, Instance, Solution
+from .model import Instance, Solution
 
 SUBSET_GUARD = 25
 
 
 def _bit_tables(instance: Instance):
-    blues = sorted(instance.blue_ids)
-    reds = sorted(instance.red_ids)
-    blue_bit = {eid: 1 << i for i, eid in enumerate(blues)}
-    red_bit = {eid: 1 << i for i, eid in enumerate(reds)}
-    weights = [instance.red_weight(eid) for eid in reds]
-    sets = []
-    for sid, mem in instance.family:
-        bm = rm = 0
-        for eid in mem:
-            if instance.color_of(eid) == BLUE:
-                bm |= blue_bit[eid]
-            else:
-                rm |= red_bit[eid]
-        sets.append((sid, bm, rm))
-    return blues, reds, weights, sets
+    ix = instance.index
+    weights = [instance.red_weight(eid) for eid in ix.reds]
+    sets = [(sid, split.blue_mask, split.red_mask) for sid, split in ix.sets.items()]
+    return ix.blues, ix.reds, weights, sets
 
 
 def _red_score(mask: int, weights: list[int]) -> int:

@@ -48,3 +48,15 @@ def brute_min_family_size(instance) -> int | None:
             if red <= instance.budget_red:
                 return size
     return None
+
+
+def intersection_graph(instance, set_ids=None) -> dict[int, frozenset[int]]:
+    """Adjacency over sets; an edge joins two sets with a common element."""
+    ids = sorted(instance.set_ids if set_ids is None else set_ids)
+    adj: dict[int, set[int]] = {sid: set() for sid in ids}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            if instance.members(a) & instance.members(b):
+                adj[a].add(b)
+                adj[b].add(a)
+    return {sid: frozenset(n) for sid, n in adj.items()}

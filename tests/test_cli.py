@@ -43,6 +43,37 @@ def test_solve_parse_failure_is_exit_2(tmp_path, capsys):
     assert cli.main(["solve", str(bad)]) == 2
 
 
+def assert_error_exit(capsys, argv, error_type):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error {error_type}:" in err and "Traceback" not in err
+
+
+def test_solve_non_utf8_file_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.rbsc"
+    bad.write_bytes(b"rbsc 1\nmode abstract\n# \xff\xfe\n")
+    assert_error_exit(capsys, ["solve", str(bad)], "UnicodeDecodeError")
+
+
+def test_solve_out_into_missing_directory_is_exit_2(tmp_path, capsys):
+    path = write_instance(tmp_path, tiny_yes())
+    out = tmp_path / "missing" / "case.solution"
+    assert_error_exit(capsys, ["solve", str(path), "--out", str(out)], "FileNotFoundError")
+
+
+def test_generate_setcover_bad_integer_is_exit_2(tmp_path, capsys):
+    src = tmp_path / "bad.sc"
+    src.write_text("setcover 1\nn x\nk 1\nset 0 : 0\n")
+    argv = ["generate", "setcover", "--input", str(src), "--out", str(tmp_path / "o.rbsc")]
+    assert_error_exit(capsys, argv, "ValueError")
+
+
+def test_solve_superscript_digit_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "sup.rbsc"
+    bad.write_text("rbsc 1\nmode abstract\nbudget_lines ²\nbudget_red 0\npoint 0 B\nset 0 : 0\n")
+    assert_error_exit(capsys, ["solve", str(bad)], "ParseError")
+
+
 def test_auto_matches_brute_across_corpus(tmp_path):
     profiles = [
         generators.RandomProfile(),
@@ -147,8 +178,7 @@ def test_verify_command(tmp_path, capsys):
     assert cli.main(["verify", str(path), str(unknown)]) == 2
 
 
-def test_bench_command(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RBSC_THREADS", "2")
+def test_bench_command(tmp_path, capsys):
     for seed in range(6):
         inst = generators.gen_random(41_000 + seed, generators.RandomProfile())
         write_instance(tmp_path, inst, f"bench{seed}.rbsc")

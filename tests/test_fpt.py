@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from conftest import abstract_instance, geometric_instance
+from conftest import abstract_instance, geometric_instance, intersection_graph
 from rbsc import fpt, generators, model, oracle
 from rbsc.errors import DegreeExceeded, PreconditionViolated
 from rbsc.fpt import GoodTuple, SolveStats, check_conforming, enumerate_good_tuples
@@ -149,7 +149,7 @@ def test_conformity_block_coverage_property():
                 reds |= inst.red_members(sid)
             assert len(reds) <= tup.red_total  # sharing may only lower the count
             # prefix connectivity within each block under the chosen ordering
-            graph = fpt.intersection_graph(inst, fam)
+            graph = intersection_graph(inst, fam)
             for ordering in tup.orderings:
                 by_blue = {next(iter(inst.blue_members(sid))): sid for sid in fam}
                 prefix = []
@@ -319,7 +319,7 @@ def test_one_blue_family_structure():
             continue
         found += 1
         assert len(sol.chosen) == inst.num_blue
-        graph = fpt.intersection_graph(inst, sol.chosen)
+        graph = intersection_graph(inst, sol.chosen)
         blocks = {}
         remaining = set(sol.chosen)
         while remaining:

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 from conftest import abstract_instance, geometric_instance
-from rbsc import generators, model
+from rbsc import generators, kernel, model
 from rbsc.errors import ParseError, SemanticError, UnknownSetId
 from rbsc.geometry import PlanePoint
 from rbsc.model import (
@@ -106,6 +108,24 @@ def test_parse_weight_on_blue_is_semantic_error():
         parse_instance(text)
 
 
+def test_parse_accepts_ascii_digits_only():
+    # str.isdigit() holds for '²' and '٣'; int() rejects the first and reads the second as 3
+    with pytest.raises(ParseError) as err:
+        parse_instance("rbsc 1\nmode abstract\nbudget_lines ²\nbudget_red 0\n")
+    assert err.value.line == 3
+    with pytest.raises(ParseError) as err:
+        parse_instance("rbsc 1\nmode abstract\nbudget_lines 1\nbudget_red ٣\n")
+    assert err.value.line == 4
+    with pytest.raises(SemanticError) as err:
+        parse_instance(
+            "rbsc 1\nmode abstract\nbudget_lines 1\nbudget_red 1\npoint 0 B\npoint 1 R w=²\n"
+        )
+    assert err.value.line == 6
+    with pytest.raises(SemanticError) as err:  # int() reads '٣/1' as 3 and '1_0/1' as 10
+        parse_instance("rbsc 1\nmode geometric\nbudget_lines 1\nbudget_red 0\npoint 0 B ٣/1 1_0/1\n")
+    assert err.value.line == 5
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_instance("rbsc 1\nmode geometric\nbudget_lines x\nbudget_red 0\n")
@@ -199,3 +219,76 @@ def test_trace_replay_and_format():
     assert replayed.num_sets == 0 and replayed.budget_lines == 2
     text = model.format_trace(entries)
     assert "delete_red_only" in text and "forced sets 1" in text
+
+
+def _pairwise_overlaps(instance):
+    """The O(ell^2) definition: set pairs sharing two or more elements."""
+    return tuple(
+        (a, b)
+        for (a, ma), (b, mb) in combinations(instance.family, 2)
+        if len(ma & mb) >= 2
+    )
+
+
+def _index_corpus():
+    geometric = generators.RandomProfile()
+    non_linear = generators.RandomProfile(mode=ABSTRACT, structure="max-one-red", linear=False)
+    cases = []
+    for seed in range(60):
+        cases.append(generators.gen_random(20_000 + seed, geometric))
+        cases.append(generators.gen_random(21_000 + seed, non_linear))
+        reduced = kernel.kernelize_ell(generators.gen_random(22_000 + seed, geometric))
+        if not reduced.is_no:
+            cases.append(reduced.instance)
+    return cases
+
+
+def test_index_matches_independent_split():
+    cases = _index_corpus()
+    assert any(inst.mode == model.GEOMETRIC for inst in cases)
+    assert any(_pairwise_overlaps(inst) for inst in cases)
+    assert any(inst.is_weighted() for inst in cases)
+    for inst in cases:
+        ix = inst.index
+        assert ix is inst.index
+        color = {e.eid: inst.element(e.eid).color for e in inst.elements}
+        weight = {e.eid: inst.element(e.eid).weight for e in inst.elements}
+        blues = sorted(eid for eid, c in color.items() if c == BLUE)
+        reds = sorted(eid for eid, c in color.items() if c == RED)
+        assert ix.blues == tuple(blues) and ix.reds == tuple(reds)
+        assert inst.blue_ids == set(blues) and inst.red_ids == set(reds)
+        assert inst.num_blue == len(blues) and inst.num_red == len(reds)
+        assert inst.is_weighted() == any(w != 1 for w in weight.values())
+        assert list(ix.sets) == inst.set_ids
+        for sid, mem in inst.family:
+            blue = {e for e in mem if color[e] == BLUE}
+            red = {e for e in mem if color[e] == RED}
+            split = ix.sets[sid]
+            assert split.blue == blue == inst.blue_members(sid)
+            assert split.red == red == inst.red_members(sid)
+            assert split.red_weight == sum(weight[e] for e in red)
+            assert split.blue_mask == sum(1 << blues.index(e) for e in blue)
+            assert split.red_mask == sum(1 << reds.index(e) for e in red)
+            assert ix.ids(split.blue_mask, ix.blues) == blue
+            assert ix.ids(split.red_mask, ix.reds) == red
+        overlaps = _pairwise_overlaps(inst)
+        assert inst.overlaps == overlaps
+        assert model.is_linear_system(inst) == (not overlaps)
+        assert validate(inst).linear_system == (not overlaps)
+        assert len(validate(inst).warnings) == len(overlaps)
+
+
+def test_index_skips_dangling_members_and_is_rebuilt_on_replace():
+    inst = Instance(
+        (Element(0, BLUE), Element(1, RED, None, 3)),
+        ((0, frozenset({0, 1, 7})),),
+        1,
+        3,
+        ABSTRACT,
+    )
+    split = inst.index.sets[0]
+    assert split.blue == {0} and split.red == {1} and split.red_weight == 3
+    assert verify(inst, {0}).feasible
+    reduced = model.delete_elements(inst, {1})
+    assert reduced.index is not inst.index
+    assert reduced.index.sets[0].red == frozenset() and not reduced.is_weighted()
