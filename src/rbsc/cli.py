@@ -99,6 +99,7 @@ def cmd_solve(args) -> int:
     print(f"budget_red {inst.budget_red}")
     if used in ("fpt", "two-blue", "rbsc-two-red"):
         print(f"branches {stats.branches}")
+        print(f"pruned {stats.pruned}")
         print(f"tuples {stats.tuples}")
     print(f"time_ms {millis:.1f}")
     print(f"solution_file {out}")

@@ -17,13 +17,20 @@ independently gives the decision:
 
 General instances are reduced to the one-blue case: after kernelization at
 most budget_lines^2 blue elements survive, so at most budget_lines^4 sets
-carry two or more blues; the solver guesses the solution's subfamily of such
-sets, pays for it, deletes what it covers, and runs the one-blue search on
-the rest.
+carry two or more blues.  A bounded search tree decides which of them the
+solution takes: each node branches on its lowest blue that is neither
+covered nor marked, over every multi-blue set containing it and finally over
+marking it for the one-blue search if a one-blue set holds it.  Each branch
+excludes, below it, the sets its earlier siblings took, so marking excludes
+every multi-blue set holding the blue and no subfamily is reached twice.  A
+node dies when the chosen sets cover more reds than budget_red, or when
+chosen + marked + ceil(open / widest) exceeds budget_lines (widest: the most
+blues in one multi-blue set).  Each leaf pays for its chosen sets, deletes
+what they cover, and runs the one-blue search on the marked blues.
 
-Searches are deterministic: subsets ascend by size then lexicographically,
-skeletons stream in a fixed canonical order, and ties everywhere break
-toward smaller ids.  Component searches for the same ordered block are
+Searches are deterministic: the tree tries sets in ascending id order before
+marking, skeletons stream in a fixed canonical order, and ties everywhere
+break toward smaller ids.  Component searches for the same ordered block are
 memoized by their minimal red demand, which decides every budget split
 without repeating the depth-first search; the first skeleton accepted and
 the family returned are identical to what the plain stream would produce.
@@ -32,7 +39,7 @@ the family returned are identical to what the plain stream would produce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import comb
 
 from . import kernel, model
@@ -42,9 +49,15 @@ from .model import Instance, Solution
 
 @dataclass
 class SolveStats:
-    """Work counters: subfamily branches explored and good tuples consumed."""
+    """Work counters.
+
+    branches: nodes of solve_kl_kr's multi-blue search tree visited;
+    pruned: those of them cut by the red or the line bound;
+    tuples: good tuples consumed by the one-blue search.
+    """
 
     branches: int = 0
+    pruned: int = 0
     tuples: int = 0
 
 
@@ -338,10 +351,17 @@ def solve_one_blue_special(instance: Instance, *, stats: SolveStats | None = Non
 def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solution | None:
     """Decide a finite-budget linear-system instance.
 
-    Kernelize, guess the solution's subfamily of sets with two or more blue
-    elements (ascending size, then lexicographic), charge its cost, delete
-    everything it covers along with every set sharing a blue with it, and run
-    the one-blue search on the remainder.
+    Kernelize, then search a tree over the sets with two or more blues.  A
+    node takes its lowest blue that is neither covered by a chosen set nor
+    marked; its children choose each set containing that blue in id order,
+    the k-th child excluding the k-1 sets before it, and a last child, when
+    some one-blue set holds the blue, marks it as left to such a set,
+    excluding every multi-blue set that contains it.  A node is cut when its chosen sets cover more than
+    budget_red reds, or when chosen + marked + ceil(open / widest) exceeds
+    budget_lines, widest being the most blues in any multi-blue set.  A leaf,
+    where no blue is open, deletes everything the chosen sets cover along
+    with every set sharing a blue with them and runs the one-blue search on
+    the marked blues with the remaining budgets.
     """
     _require_unweighted(instance)
     _require_finite_budget(instance)
@@ -351,42 +371,56 @@ def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solut
     reduced = result.instance
     k_l, k_r = reduced.budget_lines, reduced.budget_red
     ix = reduced.index
-    multi: list[tuple[int, int, int]] = []
+    # by_blue[i]: (sid, blue mask, red mask, own bit) of every multi-blue set
+    # holding blue bit i; own bits make up the excluded-set masks below
+    by_blue: list[list[tuple[int, int, int, int]]] = [[] for _ in ix.blues]
     single: list[tuple[int, int, int, frozenset[int]]] = []
-    for sid, split in ix.sets.items():
+    singles = 0  # the blues some one-blue set holds: only these can be marked
+    position = {eid: i for i, eid in enumerate(ix.blues)}
+    widest = 1
+    for bit, (sid, split) in enumerate(sorted(ix.sets.items())):
         if len(split.blue) >= 2:
-            multi.append((sid, split.blue_mask, split.red_mask))
+            widest = max(widest, len(split.blue))
+            for eid in split.blue:
+                by_blue[position[eid]].append((sid, split.blue_mask, split.red_mask, 1 << bit))
         else:
             (blue,) = split.blue
             single.append((sid, blue, split.blue_mask, split.red))
-    for size in range(min(k_l, len(multi)) + 1):
-        for picked in combinations(multi, size):
-            blue_mask = red_mask = 0
-            for _, bm, rm in picked:
-                blue_mask |= bm
-                red_mask |= rm
-            spent = red_mask.bit_count()
-            if spent > k_r:
-                continue
-            if stats:
-                stats.branches += 1
-            rem_lines = k_l - size
-            rem_red = k_r - spent
-            if len(ix.blues) - blue_mask.bit_count() > rem_lines:
-                continue
+            singles |= split.blue_mask
+    full = (1 << len(ix.blues)) - 1
+    stats = stats if stats is not None else SolveStats()
+    picked: list[int] = []
+
+    def node(covered: int, red_mask: int, marked: int, banned: int) -> tuple[int, ...] | None:
+        stats.branches += 1
+        open_mask = full & ~(covered | marked)
+        lower = len(picked) + marked.bit_count() - (-open_mask.bit_count() // widest)
+        if red_mask.bit_count() > k_r or lower > k_l:
+            stats.pruned += 1
+            return None
+        if not open_mask:
             covered_red = ix.ids(red_mask, ix.reds)
-            branch_sets = [
-                (sid, blue, reds - covered_red)
-                for sid, blue, bm, reds in single
-                if not bm & blue_mask
-            ]
-            rem_blues = ix.blue_ids - ix.ids(blue_mask, ix.blues)
-            ctx = _OneBlueContext(rem_blues, branch_sets)
-            fam = _solve_one_blue_core(ctx, rem_lines, rem_red, stats)
+            rest = [(sid, b, reds - covered_red) for sid, b, bm, reds in single if bm & marked]
+            ctx = _OneBlueContext(ix.ids(marked, ix.blues), rest)
+            return _solve_one_blue_core(ctx, k_l - len(picked), k_r - red_mask.bit_count(), stats)
+        low = open_mask & -open_mask
+        for sid, bm, rm, own in by_blue[low.bit_length() - 1]:
+            if own & banned:
+                continue
+            picked.append(sid)
+            fam = node(covered | bm, red_mask | rm, marked, banned)
             if fam is not None:
-                chosen = result.forced | {sid for sid, _, _ in picked} | set(fam)
-                return _finish(instance, chosen, result.forced)
-    return None
+                return fam
+            picked.pop()
+            banned |= own
+        if not low & singles:
+            return None
+        return node(covered, red_mask, marked | low, banned)
+
+    fam = node(0, 0, 0, 0)
+    if fam is None:
+        return None
+    return _finish(instance, result.forced | set(picked) | set(fam), result.forced)
 
 
 def solve_bounded_red(
@@ -416,8 +450,8 @@ def solve_two_blue_special(
 ) -> Solution | None:
     """Decide when every set has either no blue elements or at least two.
 
-    Kernelization leaves at most budget_lines^4 sets, few enough to try every
-    subfamily within the line budget directly.
+    With no one-blue sets, the search of solve_kl_kr never marks a blue, so
+    its leaves are subfamilies of multi-blue sets that cover every blue.
     """
     _require_unweighted(instance)
     _require_finite_budget(instance)
@@ -426,23 +460,7 @@ def solve_two_blue_special(
             raise PreconditionViolated(
                 f"set {sid} has exactly one blue element; zero or >= 2 required"
             )
-    result = kernel.kernelize_kl_kr(instance)
-    if result.is_no:
-        return None
-    reduced = result.instance
-    k_l, k_r = reduced.budget_lines, reduced.budget_red
-    full = (1 << reduced.num_blue) - 1
-    table = [(sid, split.blue_mask, split.red_mask) for sid, split in reduced.index.sets.items()]
-    for size in range(min(k_l, len(table)) + 1):
-        for picked in combinations(table, size):
-            bm = rm = 0
-            for _, b, r in picked:
-                bm |= b
-                rm |= r
-            if bm == full and rm.bit_count() <= k_r:
-                chosen = result.forced | {sid for sid, _, _ in picked}
-                return _finish(instance, chosen, result.forced)
-    return None
+    return solve_kl_kr(instance, stats=stats)
 
 
 def solve_rbsc_kr_two_red(

@@ -24,7 +24,7 @@ from .errors import (
     PlacementExhausted,
 )
 from .geometry import LineEquation, PlanePoint, canonical_line, intersect, maximal_collinear_family
-from .model import ABSTRACT, BLUE, GEOMETRIC, RED, Element, Instance
+from .model import ABSTRACT, BLUE, GEOMETRIC, RED, Element, Instance, _parse_nonneg
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +142,13 @@ def parse_setcover(text: str) -> SetCoverInstance:
     sets: list[tuple[int, frozenset[int]]] = []
     for lineno, toks in rows[1:]:
         if toks[0] == "n" and len(toks) == 2:
-            n = int(toks[1])
+            n = _parse_nonneg(toks[1], lineno, "n")
         elif toks[0] == "k" and len(toks) == 2:
-            k = int(toks[1])
+            k = _parse_nonneg(toks[1], lineno, "k")
         elif toks[0] == "set" and len(toks) >= 3 and toks[2] == ":":
-            sets.append((int(toks[1]), frozenset(int(t) for t in toks[3:])))
+            sid = _parse_nonneg(toks[1], lineno, "set id")
+            mem = frozenset(_parse_nonneg(t, lineno, "element") for t in toks[3:])
+            sets.append((sid, mem))
         else:
             raise ParseError(lineno, f"bad set cover line {' '.join(toks)!r}")
     if n is None or k is None:
@@ -175,15 +177,18 @@ def parse_mcgraph(text: str) -> MulticoloredGraph:
     edges = []
     for lineno, toks in rows[1:]:
         if toks[0] == "classes" and len(toks) == 2:
-            k = int(toks[1])
+            k = _parse_nonneg(toks[1], lineno, "classes")
             members = {i: [] for i in range(1, k + 1)}
         elif toks[0] == "vertex" and len(toks) == 3:
-            vid, cls = int(toks[1]), int(toks[2])
+            vid = _parse_nonneg(toks[1], lineno, "vertex id")
+            cls = _parse_nonneg(toks[2], lineno, "vertex class")
             if k is None or cls not in members:
                 raise ParseError(lineno, f"vertex class {cls} out of range")
             members[cls].append(vid)
         elif toks[0] == "edge" and len(toks) == 3:
-            edges.append((int(toks[1]), int(toks[2])))
+            u = _parse_nonneg(toks[1], lineno, "edge endpoint")
+            v = _parse_nonneg(toks[2], lineno, "edge endpoint")
+            edges.append((u, v))
         else:
             raise ParseError(lineno, f"bad graph line {' '.join(toks)!r}")
     if k is None:

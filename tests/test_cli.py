@@ -29,6 +29,15 @@ def test_solve_exit_codes_and_solution_file(tmp_path, capsys):
     assert model.parse_solution((tmp_path / "no.rbsc.solution").read_text()).decision is False
 
 
+def test_solve_fpt_prints_tree_counters(tmp_path, capsys):
+    # kernel drops the red set {0, 1, 3}; the tree visits 3 nodes and cuts none
+    inst = abstract_instance("BBBR", [{0, 1, 3}, {1, 2}, {0, 2}], 2, 0)
+    path = write_instance(tmp_path, inst)
+    assert cli.main(["solve", str(path), "--algo", "fpt"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "branches 3" in lines and "pruned 0" in lines and "tuples 0" in lines
+
+
 def test_solve_rejects_algorithm_precondition(tmp_path, capsys):
     inst = abstract_instance("BRR", [{0, 1, 2}], 2, 2)
     path = write_instance(tmp_path, inst)
@@ -65,7 +74,16 @@ def test_generate_setcover_bad_integer_is_exit_2(tmp_path, capsys):
     src = tmp_path / "bad.sc"
     src.write_text("setcover 1\nn x\nk 1\nset 0 : 0\n")
     argv = ["generate", "setcover", "--input", str(src), "--out", str(tmp_path / "o.rbsc")]
-    assert_error_exit(capsys, argv, "ValueError")
+    assert_error_exit(capsys, argv, "ParseError")
+
+
+def test_generate_mcgraph_bad_integer_is_exit_2(tmp_path, capsys):
+    src = tmp_path / "bad.mcgraph"
+    src.write_text("mcgraph 1\nclasses 2\nvertex 1 1\nvertex 2 2\nedge 1 x\n")
+    argv = ["generate", "mcc-sets", "--graph", str(src), "--out", str(tmp_path / "o.rbsc")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error ParseError: line 5:" in err and "Traceback" not in err
 
 
 def test_solve_superscript_digit_is_exit_2(tmp_path, capsys):

@@ -3,6 +3,8 @@ from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import abstract_instance, geometric_instance, intersection_graph
 from rbsc import fpt, generators, model, oracle
@@ -277,6 +279,76 @@ def test_solve_bounded_red_matches_plain_solver():
         a = fpt.solve_bounded_red(inst, d)
         b = fpt.solve_kl_kr(inst)
         assert (a is None) == (b is None)
+
+
+def test_solve_kl_kr_counts_tree_nodes():
+    # no multi-blue set: the root marks blue 0, its child marks blue 1, the leaf runs the core
+    stats = SolveStats()
+    assert fpt.solve_kl_kr(one_blue_pair_instance(), stats=stats) is not None
+    assert (stats.branches, stats.pruned) == (3, 0)
+    # kernel drops the red set {0, 1, 3}; root picks {0, 2}, its child picks {1, 2}, a leaf
+    stats = SolveStats()
+    sol = fpt.solve_kl_kr(abstract_instance("BBBR", [{0, 1, 3}, {1, 2}, {0, 2}], 2, 0), stats=stats)
+    assert sol is not None and sol.chosen == {1, 2}
+    assert (stats.branches, stats.pruned) == (3, 0)
+    # a triangle of two-blue sets, one red each, red budget 1 (the kernel drops set 3):
+    # root, A, A+B cut, A+C cut, B (A is excluded there), B+C cut
+    stats = SolveStats()
+    triangle = abstract_instance("BBBRRRRR", [{0, 1, 3}, {0, 2, 4}, {1, 2, 5}, {0, 6, 7}], 2, 1)
+    assert fpt.solve_kl_kr(triangle, stats=stats) is None
+    assert (stats.branches, stats.pruned) == (6, 3)
+
+
+def test_solve_two_blue_never_marks_a_blue_without_one_blue_sets():
+    # four disjoint pairs, one red each, red budget 3: the root takes the pairs one by
+    # one, the fifth node is cut by the red bound, and no blue can be marked
+    colors = "B" * 8 + "R" * 4
+    inst = abstract_instance(colors, [{2 * i, 2 * i + 1, 8 + i} for i in range(4)], 7, 3)
+    stats = SolveStats()
+    assert fpt.solve_two_blue_special(inst, stats=stats) is None
+    assert (stats.branches, stats.pruned, stats.tuples) == (5, 1, 0)
+
+
+def test_solve_kl_kr_geo_cliff_stays_small():
+    # 18 grid points, k_l = 5 and 69 multi-blue sets after kernelization: enumerating
+    # every subfamily up to size k_l visited 12,157,824 of them for this NO
+    profile = generators.RandomProfile(
+        min_points=18, max_points=18, max_sets=1000, max_budget_lines=5, max_budget_red=6
+    )
+    inst = generators.gen_random(160, profile)
+    stats = SolveStats()
+    assert fpt.solve_kl_kr(inst, stats=stats) is None
+    assert 0 < stats.pruned < stats.branches <= 50_000
+
+
+DENSE_GEO_PROFILES = {
+    structure: generators.RandomProfile(
+        min_points=12,
+        max_points=16,
+        min_sets=10,
+        max_sets=25,
+        max_budget_lines=5,
+        max_budget_red=8,
+        blue_chance=(2, 5),
+        structure=structure,
+    )
+    for structure in ("any", "two-blue")
+}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), structure=st.sampled_from(sorted(DENSE_GEO_PROFILES)))
+def test_multi_blue_search_matches_brute_force(seed, structure):
+    inst = generators.gen_random(seed, DENSE_GEO_PROFILES[structure])
+    expected = oracle.brute_force_solve(inst)
+    solvers = [fpt.solve_kl_kr]
+    if all(len(split.blue) != 1 for split in inst.index.sets.values()):
+        solvers.append(fpt.solve_two_blue_special)
+    for solver in solvers:
+        got = solver(inst)
+        assert (got is None) == (expected is None), solver.__name__
+        if got is not None:
+            assert model.verify(inst, got.chosen).feasible
 
 
 def test_solve_two_blue_examples():

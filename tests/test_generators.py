@@ -222,3 +222,22 @@ def test_source_format_roundtrips():
         gen.parse_setcover("nope\n")
     with pytest.raises(ParseError):
         gen.parse_mcgraph("mcgraph 1\nvertex 1 1\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (gen.parse_setcover, "setcover 1\nn x\nk 1\n", 2),
+        (gen.parse_setcover, "setcover 1\nn 2\nk -1\n", 3),
+        (gen.parse_setcover, "setcover 1\nn 2\nk 1\nset ٣ : 0\n", 4),
+        (gen.parse_setcover, "setcover 1\nn 2\nk 1\nset 0 : 0 1_0\n", 4),
+        (gen.parse_mcgraph, "mcgraph 1\nclasses two\n", 2),
+        (gen.parse_mcgraph, "mcgraph 1\nclasses 2\nvertex 1 ²\n", 3),
+        (gen.parse_mcgraph, "mcgraph 1\nclasses 2\nvertex +1 1\n", 3),
+        (gen.parse_mcgraph, "mcgraph 1\nclasses 2\nvertex 1 1\nvertex 2 2\nedge 1 x\n", 5),
+    ],
+)
+def test_source_format_bad_integer_names_its_line(parse, text, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
