@@ -1,19 +1,18 @@
 """Fixed-parameter search for instances with finite line and red budgets.
 
 The solver pivots on instances where every set covers exactly one blue
-element.  A candidate solution there decomposes into connected components of
-its intersection graph; each component is describable by a numerical skeleton
-(a "good tuple"): how the blue elements are partitioned into components, in
-which order each component acquires them, and how the red budget splits
-across components.  Enumerating skeletons and searching each component
-independently gives the decision:
+element.  An inclusion-minimal solution there takes one set per blue and
+splits into red-connected components whose red sets are disjoint, so its red
+count is the sum of its components' red counts.  The one-blue search
+therefore works per blue mask:
 
-  * step 1 of a component branches over every set covering its first blue;
-  * step j > 1 branches only over sets covering the j-th blue that also
-    touch a red element already accumulated, which is exactly the
-    prefix-connectivity a component of a minimal family must have;
-  * a branch dies as soon as the accumulated reds exceed the component's
-    share of the red budget.
+  * it grows red-connected families one blue at a time (a new set must share
+    a red with the reds already covered), memoized on the state (blue mask,
+    covered-red mask), and drops every state above budget_red;
+  * a blue mask's demand is the fewest reds any of its states covers;
+  * a min-sum set partition over blue masks, g[m] = min over blocks B of m
+    holding m's lowest blue of demand[B] + g[m - B], combines the blocks,
+    and the answer is YES iff g[all blues] <= budget_red.
 
 General instances are reduced to the one-blue case: after kernelization at
 most budget_lines^2 blue elements survive, so at most budget_lines^4 sets
@@ -28,12 +27,15 @@ chosen + marked + ceil(open / widest) exceeds budget_lines (widest: the most
 blues in one multi-blue set).  Each leaf pays for its chosen sets, deletes
 what they cover, and runs the one-blue search on the marked blues.
 
+The paper's good tuples (a partition of the blues into components, an
+ordering of each, a split of the red budget) and their per-component search
+stay as a reference, enumerate_good_tuples and check_conforming; no solver
+calls them.
+
 Searches are deterministic: the tree tries sets in ascending id order before
-marking, skeletons stream in a fixed canonical order, and ties everywhere
-break toward smaller ids.  Component searches for the same ordered block are
-memoized by their minimal red demand, which decides every budget split
-without repeating the depth-first search; the first skeleton accepted and
-the family returned are identical to what the plain stream would produce.
+marking, the one-blue search grows states blue by blue in id order and keeps
+the first state with the fewest reds per blue mask, and the partition keeps
+the first block of least total.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class SolveStats:
 
     branches: nodes of solve_kl_kr's multi-blue search tree visited;
     pruned: those of them cut by the red or the line bound;
-    tuples: good tuples consumed by the one-blue search.
+    tuples: (blue mask, covered-red mask) states the one-blue search
+    expanded, each once.
     """
 
     branches: int = 0
@@ -131,16 +134,6 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _skeletons(blues: tuple[int, ...], budget_lines: int):
-    b = len(blues)
-    if b == 0 or b > budget_lines:
-        return
-    for s in range(1, min(budget_lines, b) + 1):
-        for partition in _partitions_into(blues, s):
-            for orderings in product(*[permutations(block) for block in partition]):
-                yield s, partition, orderings
-
-
 def enumerate_good_tuples(blue_ids, budget_lines: int, budget_red: int):
     """Stream every good tuple exactly once, in deterministic order.
 
@@ -148,101 +141,71 @@ def enumerate_good_tuples(blue_ids, budget_lines: int, budget_red: int):
     then ascending covered-red total, then budget compositions.
     """
     blues = tuple(sorted(blue_ids))
-    for s, partition, orderings in _skeletons(blues, budget_lines):
-        for p in range(budget_red + 1):
-            for comp in _compositions(p, s):
-                yield GoodTuple(len(blues), p, s, partition, orderings, comp)
+    b = len(blues)
+    if b == 0 or b > budget_lines:
+        return
+    for s in range(1, b + 1):
+        for partition in _partitions_into(blues, s):
+            for orderings in product(*[permutations(block) for block in partition]):
+                for p in range(budget_red + 1):
+                    for comp in _compositions(p, s):
+                        yield GoodTuple(b, p, s, partition, orderings, comp)
 
 
 # ---------------------------------------------------------------------------
-# the one-blue-per-set component search
+# instances with one blue per set
 
 
 class _OneBlueContext:
-    """Index of a family in which every set covers exactly one blue element."""
+    """Index of a family in which every set covers exactly one blue element.
 
-    __slots__ = ("blues", "sets", "by_blue", "by_blue_red")
+    sets maps a set id to its blue and its red mask; by_blue lists the set
+    ids holding each blue in ascending order.
+    """
 
-    def __init__(self, blues, sets):
-        self.blues = tuple(sorted(blues))
-        self.sets: dict[int, tuple[int, frozenset[int]]] = {}
+    __slots__ = ("blues", "sets", "by_blue")
+
+    def __init__(self, instance: Instance):
+        self.blues = tuple(sorted(instance.blue_ids))
+        self.sets: dict[int, tuple[int, int]] = {}
         self.by_blue: dict[int, list[int]] = {}
-        self.by_blue_red: dict[tuple[int, int], list[int]] = {}
-        for sid, blue, reds in sorted(sets):
-            self.sets[sid] = (blue, reds)
+        for sid, split in sorted(instance.index.sets.items()):
+            if len(split.blue) != 1:
+                raise PreconditionViolated(
+                    f"set {sid} has {len(split.blue)} blue elements; exactly one is required"
+                )
+            (blue,) = split.blue
+            self.sets[sid] = (blue, split.red_mask)
             self.by_blue.setdefault(blue, []).append(sid)
-            for r in reds:
-                self.by_blue_red.setdefault((blue, r), []).append(sid)
 
 
-def _context_from_instance(instance: Instance) -> _OneBlueContext:
-    sets = []
-    for sid, split in instance.index.sets.items():
-        if len(split.blue) != 1:
-            raise PreconditionViolated(
-                f"set {sid} has {len(split.blue)} blue elements; exactly one is required"
-            )
-        (blue,) = split.blue
-        sets.append((sid, blue, split.red))
-    return _OneBlueContext(instance.blue_ids, sets)
-
-
-def _block_candidates(ctx: _OneBlueContext, blue: int, acc: set[int], first: bool):
-    if first:
-        return ctx.by_blue.get(blue, ())
-    cands: set[int] = set()
-    for r in acc:
-        cands.update(ctx.by_blue_red.get((blue, r), ()))
-    return sorted(cands)
+# ---------------------------------------------------------------------------
+# the paper's per-component conformity search: a reference no solver calls
 
 
 def _search_block(ctx: _OneBlueContext, ordering, budget: int) -> list[int] | None:
-    """First family (in candidate order) realizing one component, or None."""
+    """First family (in candidate order) realizing one component, or None.
+
+    Step 1 tries every set holding the first blue; step j > 1 only the sets
+    holding the j-th blue that share a red with those chosen before.
+    """
     t = len(ordering)
     chosen: list[int] = []
-    acc: set[int] = set()
 
-    def rec(j: int) -> bool:
+    def rec(j: int, acc: int) -> bool:
         if j == t:
             return True
-        for sid in _block_candidates(ctx, ordering[j], acc, j == 0):
-            fresh = ctx.sets[sid][1] - acc
-            if len(acc) + len(fresh) > budget:
+        for sid in ctx.by_blue.get(ordering[j], ()):
+            reds = ctx.sets[sid][1]
+            if j and not reds & acc or (acc | reds).bit_count() > budget:
                 continue
-            acc.update(fresh)
             chosen.append(sid)
-            if rec(j + 1):
+            if rec(j + 1, acc | reds):
                 return True
             chosen.pop()
-            acc.difference_update(fresh)
         return False
 
-    return list(chosen) if rec(0) else None
-
-
-def _min_red_for_block(ctx: _OneBlueContext, ordering, cap: int) -> int:
-    """Minimal red count any realization of the block can achieve (cap+1 if none <= cap)."""
-    t = len(ordering)
-    best = cap + 1
-    acc: set[int] = set()
-
-    def rec(j: int):
-        nonlocal best
-        if len(acc) >= best:
-            return
-        if j == t:
-            best = len(acc)
-            return
-        for sid in _block_candidates(ctx, ordering[j], acc, j == 0):
-            fresh = ctx.sets[sid][1] - acc
-            if len(acc) + len(fresh) >= best:
-                continue
-            acc.update(fresh)
-            rec(j + 1)
-            acc.difference_update(fresh)
-
-    rec(0)
-    return best
+    return list(chosen) if rec(0, 0) else None
 
 
 def _assemble_blocks(ctx: _OneBlueContext, tup: GoodTuple, budget_red: int):
@@ -254,10 +217,10 @@ def _assemble_blocks(ctx: _OneBlueContext, tup: GoodTuple, budget_red: int):
         families.extend(fam)
     union = tuple(sorted(set(families)))
     covered_blue = {ctx.sets[sid][0] for sid in union}
-    covered_red: set[int] = set()
+    covered_red = 0
     for sid in union:
         covered_red |= ctx.sets[sid][1]
-    if covered_blue != set(ctx.blues) or len(covered_red) > budget_red:
+    if covered_blue != set(ctx.blues) or covered_red.bit_count() > budget_red:
         return None
     return union
 
@@ -268,52 +231,83 @@ def check_conforming(instance: Instance, tup: GoodTuple) -> tuple[int, ...] | No
     The returned union is re-verified to cover every blue element while
     touching at most budget_red distinct red elements.
     """
-    ctx = _context_from_instance(instance)
-    return _assemble_blocks(ctx, tup, instance.budget_red)
+    return _assemble_blocks(_OneBlueContext(instance), tup, instance.budget_red)
 
 
-def _tuples_consumed_by_success(demands: tuple[int, ...]) -> int:
-    """Stream position (1-based) of the first conforming tuple in its skeleton."""
-    total, s = sum(demands), len(demands)
-    consumed = comb(total - 1 + s, s) if total >= 1 else 0
-    for rank, c in enumerate(_compositions(total, s)):
-        if c == demands:
-            return consumed + rank + 1
-    raise AssertionError("composition not found in its own enumeration")
+# ---------------------------------------------------------------------------
+# the one-blue search
 
 
 def _solve_one_blue_core(
-    ctx: _OneBlueContext, budget_lines: int, budget_red: int, stats: SolveStats | None
-) -> tuple[int, ...] | None:
-    b = len(ctx.blues)
-    if b == 0:
-        return ()
+    groups: list[list[tuple[int, int]]], budget_lines: int, budget_red: int, stats: SolveStats | None
+) -> list[int] | None:
+    """One set per blue covering at most budget_red reds in all, or None.
+
+    groups[i] lists (set id, red mask) of the sets holding the i-th blue, in
+    id order.
+    """
+    b = len(groups)
     if b > budget_lines:
         return None
-    demand_cache: dict[tuple[int, ...], int] = {}
-
-    def demand(ordering) -> int:
-        got = demand_cache.get(ordering)
-        if got is None:
-            got = _min_red_for_block(ctx, ordering, budget_red)
-            demand_cache[ordering] = got
-        return got
-
-    for s, partition, orderings in _skeletons(ctx.blues, budget_lines):
-        demands = tuple(demand(o) for o in orderings)
-        total = sum(demands)
-        if total > budget_red:
-            if stats:
-                stats.tuples += comb(budget_red + s, s)
-            continue
-        if stats:
-            stats.tuples += _tuples_consumed_by_success(demands)
-        tup = GoodTuple(b, total, s, partition, orderings, demands)
-        fam = _assemble_blocks(ctx, tup, budget_red)
-        if fam is None:
-            raise AssertionError("minimal demands admitted no family")
-        return fam
-    return None
+    # via[(blue mask, red mask)]: the state and the set that first reached it
+    via: dict[tuple[int, int], tuple[tuple[int, int] | None, int]] = {}
+    layer: list[tuple[int, int]] = []
+    for i, group in enumerate(groups):
+        for sid, reds in group:
+            state = (1 << i, reds)
+            if reds.bit_count() <= budget_red and state not in via:
+                via[state] = (None, sid)
+                layer.append(state)
+    # demand[blue mask]: the fewest reds of its states; cheapest: the first state with that few
+    demand: dict[int, int] = {}
+    cheapest: dict[int, tuple[int, int]] = {}
+    while layer:
+        grown: list[tuple[int, int]] = []
+        for state in layer:
+            blues, reds = state
+            cost = reds.bit_count()
+            if cost < demand.get(blues, budget_red + 1):
+                demand[blues], cheapest[blues] = cost, state
+            for i, group in enumerate(groups):
+                if blues >> i & 1:
+                    continue
+                for sid, more in group:
+                    if more & reds:
+                        nxt = (blues | 1 << i, reds | more)
+                        if nxt not in via and nxt[1].bit_count() <= budget_red:
+                            via[nxt] = (state, sid)
+                            grown.append(nxt)
+        layer = grown
+    if stats is not None:
+        stats.tuples += len(via)
+    # g[m]: fewest reds over partitions of m into blocks; pick[m]: the block holding m's lowest blue
+    full = (1 << b) - 1
+    g = [0] * (full + 1)
+    pick = [0] * (full + 1)
+    for m in range(1, full + 1):
+        low = m & -m
+        rest = m ^ low
+        top = budget_red + 1
+        sub = rest
+        while True:
+            val = demand.get(sub | low, top) + g[rest ^ sub]
+            if val < top:
+                top, pick[m] = val, sub | low
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        g[m] = top
+    if g[full] > budget_red:
+        return None
+    family: list[int] = []
+    m = full
+    while m:
+        step = cheapest[pick[m]]
+        m ^= pick[m]
+        while step is not None:
+            step, sid = via[step]
+            family.append(sid)
+    return family
 
 
 def _require_unweighted(instance: Instance):
@@ -336,13 +330,16 @@ def _finish(instance: Instance, chosen, forced: frozenset[int]) -> Solution:
 def solve_one_blue_special(instance: Instance, *, stats: SolveStats | None = None) -> Solution | None:
     """Decide an instance in which every set covers exactly one blue element.
 
-    More blue elements than the line budget is an immediate NO; otherwise
-    good tuples stream through the component search until one conforms.
+    More blue elements than the line budget is an immediate NO.  Otherwise
+    the fewest reds of a red-connected family with one set per blue is found
+    for every blue mask, and a min-sum partition of all blues into such
+    masks decides the instance; the witness is rebuilt from its argmins.
     """
     _require_unweighted(instance)
     _require_finite_budget(instance)
-    ctx = _context_from_instance(instance)
-    fam = _solve_one_blue_core(ctx, instance.budget_lines, instance.budget_red, stats)
+    ctx = _OneBlueContext(instance)
+    groups = [[(sid, ctx.sets[sid][1]) for sid in ctx.by_blue.get(blue, ())] for blue in ctx.blues]
+    fam = _solve_one_blue_core(groups, instance.budget_lines, instance.budget_red, stats)
     if fam is None:
         return None
     return _finish(instance, fam, frozenset())
@@ -372,10 +369,10 @@ def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solut
     k_l, k_r = reduced.budget_lines, reduced.budget_red
     ix = reduced.index
     # by_blue[i]: (sid, blue mask, red mask, own bit) of every multi-blue set
-    # holding blue bit i; own bits make up the excluded-set masks below
+    # holding blue bit i; own bits make up the excluded-set masks below.
+    # single[i]: (sid, red mask) of every one-blue set holding it.
     by_blue: list[list[tuple[int, int, int, int]]] = [[] for _ in ix.blues]
-    single: list[tuple[int, int, int, frozenset[int]]] = []
-    singles = 0  # the blues some one-blue set holds: only these can be marked
+    single: list[list[tuple[int, int]]] = [[] for _ in ix.blues]
     position = {eid: i for i, eid in enumerate(ix.blues)}
     widest = 1
     for bit, (sid, split) in enumerate(sorted(ix.sets.items())):
@@ -385,13 +382,12 @@ def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solut
                 by_blue[position[eid]].append((sid, split.blue_mask, split.red_mask, 1 << bit))
         else:
             (blue,) = split.blue
-            single.append((sid, blue, split.blue_mask, split.red))
-            singles |= split.blue_mask
+            single[position[blue]].append((sid, split.red_mask))
     full = (1 << len(ix.blues)) - 1
     stats = stats if stats is not None else SolveStats()
     picked: list[int] = []
 
-    def node(covered: int, red_mask: int, marked: int, banned: int) -> tuple[int, ...] | None:
+    def node(covered: int, red_mask: int, marked: int, banned: int) -> list[int] | None:
         stats.branches += 1
         open_mask = full & ~(covered | marked)
         lower = len(picked) + marked.bit_count() - (-open_mask.bit_count() // widest)
@@ -399,10 +395,12 @@ def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solut
             stats.pruned += 1
             return None
         if not open_mask:
-            covered_red = ix.ids(red_mask, ix.reds)
-            rest = [(sid, b, reds - covered_red) for sid, b, bm, reds in single if bm & marked]
-            ctx = _OneBlueContext(ix.ids(marked, ix.blues), rest)
-            return _solve_one_blue_core(ctx, k_l - len(picked), k_r - red_mask.bit_count(), stats)
+            groups = [
+                [(sid, reds & ~red_mask) for sid, reds in single[i]]
+                for i in range(len(ix.blues))
+                if marked >> i & 1
+            ]
+            return _solve_one_blue_core(groups, k_l - len(picked), k_r - red_mask.bit_count(), stats)
         low = open_mask & -open_mask
         for sid, bm, rm, own in by_blue[low.bit_length() - 1]:
             if own & banned:
@@ -413,8 +411,8 @@ def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solut
                 return fam
             picked.pop()
             banned |= own
-        if not low & singles:
-            return None
+        if not single[low.bit_length() - 1]:
+            return None  # only a blue some one-blue set holds can be marked
         return node(covered, red_mask, marked | low, banned)
 
     fam = node(0, 0, 0, 0)

@@ -193,11 +193,6 @@ class InstanceIndex:
                 sum(red_bit[e] for e in red),
             )
 
-    @staticmethod
-    def ids(mask: int, order: tuple[int, ...]) -> frozenset[int]:
-        """The ids whose bits are set in mask; order is blues or reds."""
-        return frozenset(eid for i, eid in enumerate(order) if mask >> i & 1)
-
 
 @dataclass(frozen=True)
 class Solution:

@@ -1,6 +1,5 @@
 import random
 from itertools import combinations, permutations, product
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -180,28 +179,95 @@ def test_solve_one_blue_examples():
     assert fpt.solve_one_blue_special(crowded) is None  # three blues, budget two
 
 
+def _one_blue_states(inst):
+    """Distinct (blue set, red union) pairs of connected one-set-per-blue families within k_r."""
+    if inst.num_blue > inst.budget_lines:
+        return set()
+    by_blue = {}
+    for sid in inst.set_ids:
+        (blue,) = inst.blue_members(sid)
+        by_blue.setdefault(blue, []).append(sid)
+    states = set()
+    blues = sorted(by_blue)
+    for size in range(1, len(blues) + 1):
+        for subset in combinations(blues, size):
+            for fam in product(*(by_blue[x] for x in subset)):
+                reds = frozenset().union(*(inst.red_members(sid) for sid in fam))
+                if len(reds) > inst.budget_red:
+                    continue
+                graph = intersection_graph(inst, fam)
+                seen, frontier = {fam[0]}, [fam[0]]
+                while frontier:
+                    for nb in graph[frontier.pop()]:
+                        if nb not in seen:
+                            seen.add(nb)
+                            frontier.append(nb)
+                if len(seen) == len(fam):
+                    states.add((frozenset(subset), reds))
+    return states
+
+
 def test_solve_one_blue_matches_literal_stream():
     profile = generators.RandomProfile(structure="one-blue", blue_chance=(2, 3), max_budget_red=4)
+    yes = 0
     for seed in range(150):
         inst = generators.gen_random(seed, profile)
         stats = SolveStats()
         sol = fpt.solve_one_blue_special(inst, stats=stats)
-        consumed = 0
         literal = None
         if inst.num_blue <= inst.budget_lines:
             for tup in enumerate_good_tuples(
                 sorted(inst.blue_ids), inst.budget_lines, inst.budget_red
             ):
-                consumed += 1
-                fam = check_conforming(inst, tup)
-                if fam is not None:
-                    literal = fam
+                literal = check_conforming(inst, tup)
+                if literal is not None:
                     break
-        if literal is None:
-            assert sol is None
-        else:
-            assert sol is not None and tuple(sorted(sol.chosen)) == literal
-        assert stats.tuples == consumed
+        assert (sol is None) == (literal is None)
+        if sol is not None:
+            yes += 1
+            assert model.verify(inst, sol.chosen).feasible
+            assert sol.red_covered == oracle.brute_force_solve(inst).red_covered
+        assert stats.tuples == len(_one_blue_states(inst))
+    assert yes > 30
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), max_budget_red=st.integers(0, 6))
+def test_one_blue_solvers_match_brute_force(seed, max_budget_red):
+    profile = generators.RandomProfile(
+        structure="one-blue", blue_chance=(2, 3), max_budget_red=max_budget_red
+    )
+    inst = generators.gen_random(seed, profile)
+    expected = oracle.brute_force_solve(inst)
+    for solver in (fpt.solve_one_blue_special, fpt.solve_kl_kr):
+        got = solver(inst)
+        assert (got is None) == (expected is None), solver.__name__
+        if got is not None:
+            assert model.verify(inst, got.chosen).feasible
+            assert got.red_covered == expected.red_covered, solver.__name__
+
+
+def test_one_blue_nine_blue_no_stays_small():
+    # 9 blues, three sets each holding 1-2 of 11 reds, k_l = 9, k_r = 2: a NO on which
+    # the ordered set partitions of the blues (A000262: 4,596,553 at b = 9) took ~25 s
+    rng = random.Random(0)
+    b, reds = 9, range(9, 20)
+    family = []
+    for blue in range(b):
+        own = []
+        while len(own) < 3:
+            picked = frozenset(rng.sample(reds, rng.randint(1, 2)))
+            if not any(picked & other for other in own) and not any(
+                len((picked | {blue}) & other) >= 2 for other in family
+            ):
+                own.append(picked)
+                family.append(picked | {blue})
+    inst = abstract_instance("B" * b + "R" * len(reds), family, b, 2)
+    assert model.is_linear_system(inst)
+    stats = SolveStats()
+    assert fpt.solve_one_blue_special(inst, stats=stats) is None
+    # every state is a (blue mask, red set of size <= 2) pair: 2^9 * (1 + 11 + 55) at most
+    assert 0 < stats.tuples <= 2**b * 67
 
 
 def test_solve_kl_kr_examples():
@@ -297,6 +363,15 @@ def test_solve_kl_kr_counts_tree_nodes():
     triangle = abstract_instance("BBBRRRRR", [{0, 1, 3}, {0, 2, 4}, {1, 2, 5}, {0, 6, 7}], 2, 1)
     assert fpt.solve_kl_kr(triangle, stats=stats) is None
     assert (stats.branches, stats.pruned) == (6, 3)
+
+
+def test_solve_kl_kr_leaf_pays_only_fresh_reds():
+    # the two-blue set {0, 1} pays for red 3; the leaf's one-blue set {2, 3} adds no red,
+    # so the budget of 1 holds: the leaf core sees the state (blue 2, no red)
+    stats = SolveStats()
+    sol = fpt.solve_kl_kr(abstract_instance("BBBR", [{0, 1, 3}, {2, 3}], 2, 1), stats=stats)
+    assert sol is not None and sol.chosen == {0, 1} and sol.red_covered == 1
+    assert (stats.branches, stats.pruned, stats.tuples) == (3, 0, 1)
 
 
 def test_solve_two_blue_never_marks_a_blue_without_one_blue_sets():

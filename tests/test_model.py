@@ -269,8 +269,6 @@ def test_index_matches_independent_split():
             assert split.red_weight == sum(weight[e] for e in red)
             assert split.blue_mask == sum(1 << blues.index(e) for e in blue)
             assert split.red_mask == sum(1 << reds.index(e) for e in red)
-            assert ix.ids(split.blue_mask, ix.blues) == blue
-            assert ix.ids(split.red_mask, ix.reds) == red
         overlaps = _pairwise_overlaps(inst)
         assert inst.overlaps == overlaps
         assert model.is_linear_system(inst) == (not overlaps)
