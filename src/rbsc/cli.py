@@ -18,6 +18,8 @@ from . import dp, fpt, generators, kernel, model, oracle
 from .errors import NotLinearSystem, RbscError
 
 ALGOS = ("auto", "fpt", "brute", "dp", "red-subsets", "two-blue", "rbsc-two-red")
+# The algorithms that run fpt's search and fill its SolveStats counters.
+SEARCH_ALGOS = ("fpt", "two-blue", "rbsc-two-red")
 
 PROFILES = {
     "default": generators.RandomProfile(),
@@ -97,7 +99,7 @@ def cmd_solve(args) -> int:
     print(f"algo {used}")
     print(f"budget_lines {_fmt_budget(inst.budget_lines)}")
     print(f"budget_red {inst.budget_red}")
-    if used in ("fpt", "two-blue", "rbsc-two-red"):
+    if used in SEARCH_ALGOS:
         print(f"branches {stats.branches}")
         print(f"pruned {stats.pruned}")
         print(f"tuples {stats.tuples}")
@@ -218,7 +220,7 @@ def _bench_one(path: Path, algo: str, force: bool) -> dict:
         sol, used, stats = _run_algo(algo, inst, force)
         row["millis"] = f"{(time.perf_counter() - start) * 1000.0:.2f}"
         row["decision"] = "yes" if sol else "no"
-        if used in ("fpt", "two-blue", "rbsc-two-red"):
+        if used in SEARCH_ALGOS:
             row["branches"] = str(stats.branches)
             row["tuples"] = str(stats.tuples)
     except RbscError as exc:

@@ -22,6 +22,7 @@ from .errors import (
     NotRegular,
     ParseError,
     PlacementExhausted,
+    SemanticError,
 )
 from .geometry import LineEquation, PlanePoint, canonical_line, intersect, maximal_collinear_family
 from .model import ABSTRACT, BLUE, GEOMETRIC, RED, Element, Instance, _parse_nonneg
@@ -139,22 +140,31 @@ def parse_setcover(text: str) -> SetCoverInstance:
     if not rows or rows[0][1] != ["setcover", "1"]:
         raise ParseError(rows[0][0] if rows else 1, "expected 'setcover 1' header")
     n = k = None
-    sets: list[tuple[int, frozenset[int]]] = []
+    n_line = 1
+    sets: list[tuple[int, int, frozenset[int]]] = []
     for lineno, toks in rows[1:]:
         if toks[0] == "n" and len(toks) == 2:
-            n = _parse_nonneg(toks[1], lineno, "n")
+            n, n_line = _parse_nonneg(toks[1], lineno, "n"), lineno
         elif toks[0] == "k" and len(toks) == 2:
             k = _parse_nonneg(toks[1], lineno, "k")
         elif toks[0] == "set" and len(toks) >= 3 and toks[2] == ":":
             sid = _parse_nonneg(toks[1], lineno, "set id")
             mem = frozenset(_parse_nonneg(t, lineno, "element") for t in toks[3:])
-            sets.append((sid, mem))
+            sets.append((sid, lineno, mem))
         else:
             raise ParseError(lineno, f"bad set cover line {' '.join(toks)!r}")
     if n is None or k is None:
         raise ParseError(1, "missing n or k")
+    if n < 1:
+        raise SemanticError(n_line, "the universe needs at least one element")
+    if not sets:
+        raise SemanticError(n_line, "no 'set' lines")
+    for sid, lineno, mem in sets:
+        outside = sorted(e for e in mem if not 1 <= e <= n)
+        if outside:
+            raise SemanticError(lineno, f"set {sid} element {outside[0]} outside 1..{n}")
     sets.sort()
-    return SetCoverInstance(n, tuple(s for _, s in sets), k)
+    return SetCoverInstance(n, tuple(s for _, _, s in sets), k)
 
 
 def serialize_setcover(sc: SetCoverInstance) -> str:
@@ -173,28 +183,43 @@ def parse_mcgraph(text: str) -> MulticoloredGraph:
     if not rows or rows[0][1] != ["mcgraph", "1"]:
         raise ParseError(rows[0][0] if rows else 1, "expected 'mcgraph 1' header")
     k = None
+    classes_line = 1
     members: dict[int, list[int]] = {}
+    owner: dict[int, int] = {}
     edges = []
     for lineno, toks in rows[1:]:
         if toks[0] == "classes" and len(toks) == 2:
-            k = _parse_nonneg(toks[1], lineno, "classes")
-            members = {i: [] for i in range(1, k + 1)}
+            k, classes_line = _parse_nonneg(toks[1], lineno, "classes"), lineno
+            members, owner = {}, {}
         elif toks[0] == "vertex" and len(toks) == 3:
             vid = _parse_nonneg(toks[1], lineno, "vertex id")
             cls = _parse_nonneg(toks[2], lineno, "vertex class")
-            if k is None or cls not in members:
+            if k is None or not 1 <= cls <= k:
                 raise ParseError(lineno, f"vertex class {cls} out of range")
-            members[cls].append(vid)
+            if vid in owner:
+                raise SemanticError(lineno, f"vertex {vid} already in class {owner[vid]}")
+            owner[vid] = cls
+            members.setdefault(cls, []).append(vid)
         elif toks[0] == "edge" and len(toks) == 3:
             u = _parse_nonneg(toks[1], lineno, "edge endpoint")
             v = _parse_nonneg(toks[2], lineno, "edge endpoint")
-            edges.append((u, v))
+            edges.append((lineno, u, v))
         else:
             raise ParseError(lineno, f"bad graph line {' '.join(toks)!r}")
     if k is None:
         raise ParseError(1, "missing 'classes' line")
+    # The first empty class is at most len(members) + 1, so a huge k costs nothing.
+    empty = next((c for c in range(1, k + 1) if c not in members), None)
+    if empty is not None:
+        raise SemanticError(classes_line, f"class {empty} has no vertex")
+    for lineno, u, v in edges:
+        for end in (u, v):
+            if end not in owner:
+                raise SemanticError(lineno, f"edge ({u},{v}) uses unknown vertex {end}")
+        if owner[u] == owner[v]:
+            raise SemanticError(lineno, f"edge ({u},{v}) inside class {owner[u]}")
     return MulticoloredGraph(
-        tuple(tuple(members[i]) for i in range(1, k + 1)), frozenset(edges)
+        tuple(tuple(members[c]) for c in range(1, k + 1)), frozenset((u, v) for _, u, v in edges)
     )
 
 

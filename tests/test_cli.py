@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from conftest import abstract_instance
 from rbsc import cli, generators, model
 
@@ -84,6 +86,26 @@ def test_generate_mcgraph_bad_integer_is_exit_2(tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "error ParseError: line 5:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind, text, line",
+    [
+        ("setcover", "setcover 1\nn 0\nk 0\n", 2),
+        ("setcover", "setcover 1\nn 2\nk 1\n", 2),
+        ("setcover", "setcover 1\nn 2\nk 1\nset 0 : 1 2\nset 1 : 3\n", 5),
+        ("mcc-sets", "mcgraph 1\nclasses 2\nvertex 1 1\nvertex 1 2\n", 4),
+        ("mcc-sets", "mcgraph 1\nclasses 2\nvertex 1 1\n", 2),
+        ("mcc-sets", "mcgraph 1\nclasses 2\nvertex 1 1\nvertex 2 1\nvertex 3 2\nedge 1 2\n", 6),
+        ("mcc-sets", "mcgraph 1\nclasses 2\nvertex 1 1\nvertex 2 2\nedge 1 9\n", 5),
+    ],
+)
+def test_generate_inconsistent_source_is_exit_2(tmp_path, capsys, kind, text, line):
+    src = tmp_path / "bad.src"
+    src.write_text(text)
+    flag = "--input" if kind == "setcover" else "--graph"
+    argv = ["generate", kind, flag, str(src), "--out", str(tmp_path / "o.rbsc")]
+    assert_error_exit(capsys, argv, f"SemanticError: line {line}")
 
 
 def test_solve_superscript_digit_is_exit_2(tmp_path, capsys):

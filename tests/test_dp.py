@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import abstract_instance, brute_min_family_size
 from rbsc import dp, generators, model, oracle
@@ -75,7 +77,7 @@ def _full_tabulation(instance):
     return blues, reds, inf, table
 
 
-def test_lazy_tables_match_full_tabulation():
+def test_tables_match_full_tabulation():
     profile = generators.RandomProfile(
         structure="max-one-red", mode=ABSTRACT, linear=False, max_points=8, max_sets=8
     )
@@ -143,20 +145,32 @@ def test_enormous_red_budget_terminates():
             assert len(sol.chosen) == expected
 
 
-def test_oracle_equivalence_and_witness_size():
-    profiles = [
-        generators.RandomProfile(
-            structure="max-one-red", mode=ABSTRACT, linear=False, max_points=10,
-            max_sets=12, max_budget_lines=6, max_budget_red=4,
-        ),
-        generators.RandomProfile(structure="max-one-red", max_budget_lines=5),
-    ]
-    for pi, profile in enumerate(profiles):
-        for seed in range(80):
-            inst = generators.gen_random(5000 * (pi + 1) + seed, profile)
-            sol = dp.dp_solve(inst)
-            best = brute_min_family_size(inst)
-            assert (sol is None) == (best is None)
-            if sol is not None:
-                assert len(sol.chosen) == best
-                assert sol.feasible
+DIFFERENTIAL_PROFILES = {
+    "abstract": generators.RandomProfile(
+        structure="max-one-red", mode=ABSTRACT, linear=False, max_points=10,
+        max_sets=12, max_budget_lines=6, max_budget_red=4,
+    ),
+    "geometric": generators.RandomProfile(structure="max-one-red", max_budget_lines=5),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(DIFFERENTIAL_PROFILES)))
+def test_oracle_equivalence_and_witness_size(seed, kind):
+    inst = generators.gen_random(seed, DIFFERENTIAL_PROFILES[kind])
+    sol = dp.dp_solve(inst)
+    best = brute_min_family_size(inst)
+    assert (sol is None) == (best is None)
+    if sol is not None:
+        assert len(sol.chosen) == best
+        assert model.verify(inst, sol.chosen).feasible
+
+
+def test_tied_covers_pick_smallest_set_red_and_submask():
+    # blues 0, 1; reds 2, 3.  Within one red and two lines, five families
+    # are optimal: {0, 2}, {0, 3}, {1, 3}, {2, 4} and {3, 4}.  The witness
+    # takes the smallest submask ({0}, not both blues), then red 2 over
+    # red 3, then set 0 over set 4; set 3 is the only red-free cover of blue 1.
+    inst = abstract_instance("BBRR", [{0, 2}, {0, 3}, {1, 2}, {1}, {0, 2}], 2, 1)
+    sol = dp.dp_solve(inst)
+    assert sol is not None and sol.chosen == {0, 3}

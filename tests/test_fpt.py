@@ -416,12 +416,16 @@ DENSE_GEO_PROFILES = {
 def test_multi_blue_search_matches_brute_force(seed, structure):
     inst = generators.gen_random(seed, DENSE_GEO_PROFILES[structure])
     expected = oracle.brute_force_solve(inst)
-    solvers = [fpt.solve_kl_kr]
+    d = max(len(split.red) for split in inst.index.sets.values())
+    solvers = {
+        "solve_kl_kr": fpt.solve_kl_kr,
+        "solve_bounded_red": lambda inst: fpt.solve_bounded_red(inst, d),
+    }
     if all(len(split.blue) != 1 for split in inst.index.sets.values()):
-        solvers.append(fpt.solve_two_blue_special)
-    for solver in solvers:
+        solvers["solve_two_blue_special"] = fpt.solve_two_blue_special
+    for name, solver in solvers.items():
         got = solver(inst)
-        assert (got is None) == (expected is None), solver.__name__
+        assert (got is None) == (expected is None), name
         if got is not None:
             assert model.verify(inst, got.chosen).feasible
 

@@ -235,6 +235,17 @@ def test_source_format_roundtrips():
         (gen.parse_mcgraph, "mcgraph 1\nclasses 2\nvertex 1 ²\n", 3),
         (gen.parse_mcgraph, "mcgraph 1\nclasses 2\nvertex +1 1\n", 3),
         (gen.parse_mcgraph, "mcgraph 1\nclasses 2\nvertex 1 1\nvertex 2 2\nedge 1 x\n", 5),
+        # valid syntax, inconsistent content: SemanticError, a ParseError
+        (gen.parse_setcover, "setcover 1\nn 0\nk 0\n", 2),
+        (gen.parse_setcover, "setcover 1\nn 2\nk 1\n", 2),
+        (gen.parse_setcover, "setcover 1\nn 2\nk 1\nset 0 : 1 2\nset 1 : 3\n", 5),
+        (gen.parse_setcover, "setcover 1\nset 0 : 0 1\nn 2\nk 1\n", 2),
+        (gen.parse_mcgraph, "mcgraph 1\nclasses 2\nvertex 1 1\nvertex 1 2\n", 4),
+        (gen.parse_mcgraph, "mcgraph 1\nclasses 2\nvertex 1 1\nvertex 1 1\n", 4),
+        (gen.parse_mcgraph, "mcgraph 1\nclasses 2\nvertex 1 1\n", 2),
+        (gen.parse_mcgraph, "mcgraph 1\nclasses 2\nedge 1 2\nvertex 1 1\nvertex 2 1\nvertex 3 2\n", 3),
+        (gen.parse_mcgraph, "mcgraph 1\nclasses 2\nvertex 1 1\nvertex 2 2\nedge 2 2\n", 5),
+        (gen.parse_mcgraph, "mcgraph 1\nclasses 2\nvertex 1 1\nvertex 2 2\nedge 1 9\n", 5),
     ],
 )
 def test_source_format_bad_integer_names_its_line(parse, text, line):
