@@ -9,10 +9,7 @@ element within both bounds.
 
 from .dp import dp_solve
 from .fpt import (
-    GoodTuple,
     SolveStats,
-    check_conforming,
-    enumerate_good_tuples,
     solve_bounded_red,
     solve_kl_kr,
     solve_one_blue_special,
@@ -25,7 +22,6 @@ from .model import Instance, Solution, parse_instance, serialize_instance, valid
 from .oracle import brute_force_solve, solve_rbsc_by_red_subsets
 
 __all__ = [
-    "GoodTuple",
     "Instance",
     "LineEquation",
     "PlanePoint",
@@ -33,10 +29,8 @@ __all__ = [
     "SolveStats",
     "brute_force_solve",
     "canonical_line",
-    "check_conforming",
     "collinear",
     "dp_solve",
-    "enumerate_good_tuples",
     "intersect",
     "kernelize_ell",
     "kernelize_kl_kr",

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import dp, fpt, generators, kernel, model, oracle
-from .errors import NotLinearSystem, RbscError
+from .errors import RbscError
 
 ALGOS = ("auto", "fpt", "brute", "dp", "red-subsets", "two-blue", "rbsc-two-red")
 # The algorithms that run fpt's search and fill its SolveStats counters.
@@ -56,6 +56,8 @@ def _pick_auto(inst: model.Instance, force: bool) -> str:
         return "brute"
     if max(red_counts, default=0) <= 1 and inst.num_blue <= dp.MAX_BLUES:
         return "dp"
+    if not model.is_linear_system(inst):
+        return "brute"
     return "fpt"
 
 
@@ -64,11 +66,6 @@ def _run_algo(name: str, inst: model.Instance, force: bool):
     stats = fpt.SolveStats()
     if name == "auto":
         name = _pick_auto(inst, force)
-        if name == "fpt":
-            try:
-                return fpt.solve_kl_kr(inst, stats=stats), "fpt", stats
-            except NotLinearSystem:
-                return oracle.brute_force_solve(inst, force=force), "brute", stats
     if name == "brute":
         return oracle.brute_force_solve(inst, force=force), name, stats
     if name == "red-subsets":

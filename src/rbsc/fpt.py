@@ -25,12 +25,10 @@ every multi-blue set holding the blue and no subfamily is reached twice.  A
 node dies when the chosen sets cover more reds than budget_red, or when
 chosen + marked + ceil(open / widest) exceeds budget_lines (widest: the most
 blues in one multi-blue set).  Each leaf pays for its chosen sets, deletes
-what they cover, and runs the one-blue search on the marked blues.
-
-The paper's good tuples (a partition of the blues into components, an
-ordering of each, a split of the red budget) and their per-component search
-stay as a reference, enumerate_good_tuples and check_conforming; no solver
-calls them.
+what they cover, and runs the one-blue search on the marked blues.  An
+instance whose sets all hold one blue goes through the same tree: it has no
+multi-blue set to choose, so the tree marks its blues in order and its one
+leaf runs the one-blue search on all of them.
 
 Searches are deterministic: the tree tries sets in ascending id order before
 marking, the one-blue search grows states blue by blue in id order and keeps
@@ -41,7 +39,6 @@ the first block of least total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 from math import comb
 
 from . import kernel, model
@@ -53,7 +50,7 @@ from .model import Instance, Solution
 class SolveStats:
     """Work counters.
 
-    branches: nodes of solve_kl_kr's multi-blue search tree visited;
+    branches: nodes of the multi-blue search tree (_search) visited;
     pruned: those of them cut by the red or the line bound;
     tuples: (blue mask, covered-red mask) states the one-blue search
     expanded, each once.
@@ -62,180 +59,6 @@ class SolveStats:
     branches: int = 0
     pruned: int = 0
     tuples: int = 0
-
-
-@dataclass(frozen=True)
-class GoodTuple:
-    """Numerical skeleton of a candidate solution's component structure."""
-
-    blue_count: int
-    red_total: int
-    part_count: int
-    blocks: tuple[tuple[int, ...], ...]
-    orderings: tuple[tuple[int, ...], ...]
-    red_budgets: tuple[int, ...]
-
-    def __post_init__(self):
-        s = self.part_count
-        if not 1 <= s <= self.blue_count:
-            raise ValueError("part count out of range")
-        if not (len(self.blocks) == len(self.orderings) == len(self.red_budgets) == s):
-            raise ValueError("component lists disagree with part count")
-        seen: set[int] = set()
-        for block, ordering in zip(self.blocks, self.orderings):
-            if not block:
-                raise ValueError("empty block")
-            if set(ordering) != set(block) or len(ordering) != len(block):
-                raise ValueError("ordering is not a permutation of its block")
-            if seen & set(block):
-                raise ValueError("blocks overlap")
-            seen |= set(block)
-        if len(seen) != self.blue_count:
-            raise ValueError("blocks do not cover the blue elements")
-        if any(k < 0 for k in self.red_budgets) or sum(self.red_budgets) != self.red_total:
-            raise ValueError("red budgets must be nonnegative and sum to the total")
-        mins = [min(block) for block in self.blocks]
-        if mins != sorted(mins):
-            raise ValueError("blocks are not in canonical order")
-
-
-def _partitions_into(elems: tuple[int, ...], s: int):
-    """Partitions of elems into exactly s blocks, canonical enumeration order."""
-    n = len(elems)
-    blocks: list[list[int]] = []
-
-    def rec(i):
-        if i == n:
-            if len(blocks) == s:
-                yield tuple(tuple(b) for b in blocks)
-            return
-        x = elems[i]
-        rem_after = n - i - 1
-        for blk in blocks:
-            if len(blocks) + rem_after >= s:
-                blk.append(x)
-                yield from rec(i + 1)
-                blk.pop()
-        if len(blocks) < s:
-            blocks.append([x])
-            yield from rec(i + 1)
-            blocks.pop()
-
-    yield from rec(0)
-
-
-def _compositions(total: int, parts: int):
-    """Nonnegative integer tuples of given length summing to total, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def enumerate_good_tuples(blue_ids, budget_lines: int, budget_red: int):
-    """Stream every good tuple exactly once, in deterministic order.
-
-    Order: ascending part count, then partition, then per-block orderings,
-    then ascending covered-red total, then budget compositions.
-    """
-    blues = tuple(sorted(blue_ids))
-    b = len(blues)
-    if b == 0 or b > budget_lines:
-        return
-    for s in range(1, b + 1):
-        for partition in _partitions_into(blues, s):
-            for orderings in product(*[permutations(block) for block in partition]):
-                for p in range(budget_red + 1):
-                    for comp in _compositions(p, s):
-                        yield GoodTuple(b, p, s, partition, orderings, comp)
-
-
-# ---------------------------------------------------------------------------
-# instances with one blue per set
-
-
-class _OneBlueContext:
-    """Index of a family in which every set covers exactly one blue element.
-
-    sets maps a set id to its blue and its red mask; by_blue lists the set
-    ids holding each blue in ascending order.
-    """
-
-    __slots__ = ("blues", "sets", "by_blue")
-
-    def __init__(self, instance: Instance):
-        self.blues = tuple(sorted(instance.blue_ids))
-        self.sets: dict[int, tuple[int, int]] = {}
-        self.by_blue: dict[int, list[int]] = {}
-        for sid, split in sorted(instance.index.sets.items()):
-            if len(split.blue) != 1:
-                raise PreconditionViolated(
-                    f"set {sid} has {len(split.blue)} blue elements; exactly one is required"
-                )
-            (blue,) = split.blue
-            self.sets[sid] = (blue, split.red_mask)
-            self.by_blue.setdefault(blue, []).append(sid)
-
-
-# ---------------------------------------------------------------------------
-# the paper's per-component conformity search: a reference no solver calls
-
-
-def _search_block(ctx: _OneBlueContext, ordering, budget: int) -> list[int] | None:
-    """First family (in candidate order) realizing one component, or None.
-
-    Step 1 tries every set holding the first blue; step j > 1 only the sets
-    holding the j-th blue that share a red with those chosen before.
-    """
-    t = len(ordering)
-    chosen: list[int] = []
-
-    def rec(j: int, acc: int) -> bool:
-        if j == t:
-            return True
-        for sid in ctx.by_blue.get(ordering[j], ()):
-            reds = ctx.sets[sid][1]
-            if j and not reds & acc or (acc | reds).bit_count() > budget:
-                continue
-            chosen.append(sid)
-            if rec(j + 1, acc | reds):
-                return True
-            chosen.pop()
-        return False
-
-    return list(chosen) if rec(0, 0) else None
-
-
-def _assemble_blocks(ctx: _OneBlueContext, tup: GoodTuple, budget_red: int):
-    families: list[int] = []
-    for ordering, budget in zip(tup.orderings, tup.red_budgets):
-        fam = _search_block(ctx, ordering, budget)
-        if fam is None:
-            return None
-        families.extend(fam)
-    union = tuple(sorted(set(families)))
-    covered_blue = {ctx.sets[sid][0] for sid in union}
-    covered_red = 0
-    for sid in union:
-        covered_red |= ctx.sets[sid][1]
-    if covered_blue != set(ctx.blues) or covered_red.bit_count() > budget_red:
-        return None
-    return union
-
-
-def check_conforming(instance: Instance, tup: GoodTuple) -> tuple[int, ...] | None:
-    """Search for a family realizing the skeleton; None when none exists.
-
-    The returned union is re-verified to cover every blue element while
-    touching at most budget_red distinct red elements.
-    """
-    return _assemble_blocks(_OneBlueContext(instance), tup, instance.budget_red)
-
-
-# ---------------------------------------------------------------------------
-# the one-blue search
 
 
 def _solve_one_blue_core(
@@ -327,45 +150,20 @@ def _finish(instance: Instance, chosen, forced: frozenset[int]) -> Solution:
     return Solution(sol.chosen, sol.blue_covered, sol.red_covered, True, forced)
 
 
-def solve_one_blue_special(instance: Instance, *, stats: SolveStats | None = None) -> Solution | None:
-    """Decide an instance in which every set covers exactly one blue element.
+def _search(reduced: Instance, stats: SolveStats | None) -> list[int] | None:
+    """The sets of a solution, or None: the multi-blue tree, then the one-blue search.
 
-    More blue elements than the line budget is an immediate NO.  Otherwise
-    the fewest reds of a red-connected family with one set per blue is found
-    for every blue mask, and a min-sum partition of all blues into such
-    masks decides the instance; the witness is rebuilt from its argmins.
-    """
-    _require_unweighted(instance)
-    _require_finite_budget(instance)
-    ctx = _OneBlueContext(instance)
-    groups = [[(sid, ctx.sets[sid][1]) for sid in ctx.by_blue.get(blue, ())] for blue in ctx.blues]
-    fam = _solve_one_blue_core(groups, instance.budget_lines, instance.budget_red, stats)
-    if fam is None:
-        return None
-    return _finish(instance, fam, frozenset())
-
-
-def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solution | None:
-    """Decide a finite-budget linear-system instance.
-
-    Kernelize, then search a tree over the sets with two or more blues.  A
-    node takes its lowest blue that is neither covered by a chosen set nor
+    A node takes its lowest blue that is neither covered by a chosen set nor
     marked; its children choose each set containing that blue in id order,
     the k-th child excluding the k-1 sets before it, and a last child, when
     some one-blue set holds the blue, marks it as left to such a set,
-    excluding every multi-blue set that contains it.  A node is cut when its chosen sets cover more than
-    budget_red reds, or when chosen + marked + ceil(open / widest) exceeds
-    budget_lines, widest being the most blues in any multi-blue set.  A leaf,
-    where no blue is open, deletes everything the chosen sets cover along
-    with every set sharing a blue with them and runs the one-blue search on
-    the marked blues with the remaining budgets.
+    excluding every multi-blue set that contains it.  A node is cut when its
+    chosen sets cover more than budget_red reds, or when chosen + marked +
+    ceil(open / widest) exceeds budget_lines, widest being the most blues in
+    any multi-blue set.  A leaf, where no blue is open, deletes everything
+    the chosen sets cover along with every set sharing a blue with them and
+    runs the one-blue search on the marked blues with the remaining budgets.
     """
-    _require_unweighted(instance)
-    _require_finite_budget(instance)
-    result = kernel.kernelize_kl_kr(instance)
-    if result.is_no:
-        return None
-    reduced = result.instance
     k_l, k_r = reduced.budget_lines, reduced.budget_red
     ix = reduced.index
     # by_blue[i]: (sid, blue mask, red mask, own bit) of every multi-blue set
@@ -416,9 +214,49 @@ def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solut
         return node(covered, red_mask, marked | low, banned)
 
     fam = node(0, 0, 0, 0)
+    return None if fam is None else picked + fam
+
+
+def solve_one_blue_special(instance: Instance, *, stats: SolveStats | None = None) -> Solution | None:
+    """Decide an instance in which every set covers exactly one blue element.
+
+    The search of solve_kl_kr runs on the instance as given, without the
+    kernel, so the family need not be a linear set system.  With no
+    multi-blue set, the tree marks every blue (a blue in no set is a NO
+    there) and is cut at once when there are more blues than the line
+    budget; its one leaf finds, for every blue mask, the fewest reds of a
+    red-connected family with one set per blue, and a min-sum partition of
+    all blues into such masks decides the instance.
+    """
+    _require_unweighted(instance)
+    _require_finite_budget(instance)
+    for sid, split in instance.index.sets.items():
+        if len(split.blue) != 1:
+            raise PreconditionViolated(
+                f"set {sid} has {len(split.blue)} blue elements; exactly one is required"
+            )
+    fam = _search(instance, stats)
     if fam is None:
         return None
-    return _finish(instance, result.forced | set(picked) | set(fam), result.forced)
+    return _finish(instance, fam, frozenset())
+
+
+def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solution | None:
+    """Decide a finite-budget linear-system instance.
+
+    Kernelize, then search a tree over the sets with two or more blues whose
+    leaves run the one-blue search on the blues left to one-blue sets (see
+    _search).
+    """
+    _require_unweighted(instance)
+    _require_finite_budget(instance)
+    result = kernel.kernelize_kl_kr(instance)
+    if result.is_no:
+        return None
+    fam = _search(result.instance, stats)
+    if fam is None:
+        return None
+    return _finish(instance, result.forced | set(fam), result.forced)
 
 
 def solve_bounded_red(
@@ -479,22 +317,13 @@ def solve_rbsc_kr_two_red(
             raise PreconditionViolated(
                 f"set {sid} has exactly one red element; zero or >= 2 required"
             )
-    inst = instance
     forced: set[int] = set()
-    while True:
-        changed = False
-        for rule in (
-            kernel.rule_delete_red_only,
-            kernel.rule_delete_heavy_red,
-            kernel.rule_take_blue_only,
-        ):
-            out = rule(inst)
-            forced |= out.forced
-            if out.changed:
-                inst = out.instance
-                changed = True
-        if not changed:
-            break
+    inst, _ = kernel._run_cycle(
+        instance,
+        (kernel.rule_delete_red_only, kernel.rule_delete_heavy_red, kernel.rule_take_blue_only),
+        [],
+        forced,
+    )
     bounded = model.with_budgets(inst, budget_lines=comb(inst.budget_red, 2))
     sub = solve_kl_kr(bounded, stats=stats)
     if sub is None:

@@ -25,7 +25,7 @@ from .errors import (
     SemanticError,
 )
 from .geometry import LineEquation, PlanePoint, canonical_line, intersect, maximal_collinear_family
-from .model import ABSTRACT, BLUE, GEOMETRIC, RED, Element, Instance, _parse_nonneg
+from .model import ABSTRACT, BLUE, GEOMETRIC, RED, Element, Instance, _parse_nonneg, _rows
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +104,6 @@ class MulticoloredGraph:
     def class_of(self, v: int) -> int:
         return self._owner[v]
 
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(
-            (b if a == v else a) for a, b in self.edges if v in (a, b)
-        )
-
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
@@ -132,11 +127,7 @@ def has_multicolored_clique(g: MulticoloredGraph) -> bool:
 
 
 def parse_setcover(text: str) -> SetCoverInstance:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body.split()))
+    rows = _rows(text)
     if not rows or rows[0][1] != ["setcover", "1"]:
         raise ParseError(rows[0][0] if rows else 1, "expected 'setcover 1' header")
     n = k = None
@@ -175,11 +166,7 @@ def serialize_setcover(sc: SetCoverInstance) -> str:
 
 
 def parse_mcgraph(text: str) -> MulticoloredGraph:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body.split()))
+    rows = _rows(text)
     if not rows or rows[0][1] != ["mcgraph", "1"]:
         raise ParseError(rows[0][0] if rows else 1, "expected 'mcgraph 1' header")
     k = None

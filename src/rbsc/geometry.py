@@ -14,15 +14,6 @@ from math import gcd
 
 from .errors import DuplicatePoints, EqualPoints, SameLine
 
-# Exact rational scalar: normalized sign, gcd(num, den) = 1, den > 0.
-Rational = Fraction
-
-
-def rational(value) -> Fraction:
-    """Coerce ints, strings like '3/4', or Fractions to an exact rational."""
-    return Fraction(value)
-
-
 @dataclass(frozen=True, order=True)
 class PlanePoint:
     x: Fraction

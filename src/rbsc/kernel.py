@@ -122,19 +122,63 @@ def rule_take_blue_only(instance: Instance) -> RuleOutcome:
     return RuleOutcome(True, reduced, [entry] + clean_entries, frozenset(take))
 
 
-def _run_cycle(instance: Instance, trace, forced) -> tuple[Instance, bool, str | None]:
-    """One (red-only, heavy-red, big-blue) pass; returns (instance, changed, no)."""
-    changed = False
-    for rule in (rule_delete_red_only, rule_delete_heavy_red, rule_force_big_blue):
-        out = rule(instance)
-        trace.extend(out.entries)
-        forced |= out.forced
-        if out.no_reason is not None:
-            return out.instance, True, out.no_reason
-        if out.changed:
-            changed = True
-            instance = out.instance
-    return instance, changed, None
+def rule_cap_budget_lines(instance: Instance) -> RuleOutcome:
+    """Cap the line budget at the family size: a solution never uses more sets than exist."""
+    if instance.budget_lines is None:
+        raise BoundedBudget("rule needs a finite line budget")
+    ell = instance.num_sets
+    if instance.budget_lines <= ell:
+        return _unchanged(instance)
+    entry = TraceEntry(
+        "cap_budget_lines",
+        delta_lines=ell - instance.budget_lines,
+        note="budget cannot exceed family size",
+    )
+    return RuleOutcome(True, model.with_budgets(instance, budget_lines=ell), [entry])
+
+
+def _run_cycle(instance: Instance, rules, trace, forced) -> tuple[Instance, str | None]:
+    """Apply the rules in order, pass after pass, until a pass changes nothing.
+
+    Every rule's trace entries go to trace and its committed sets to forced.
+    Returns the reduced instance and None, or the instance at hand and the
+    reason of the first NO certificate.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules:
+            out = rule(instance)
+            trace.extend(out.entries)
+            forced |= out.forced
+            if out.no_reason is not None:
+                return out.instance, out.no_reason
+            if out.changed:
+                changed = True
+                instance = out.instance
+    return instance, None
+
+
+def _pipeline(instance: Instance, rules) -> KernelResult:
+    """Run rules to a fixed point on a finite-budget linear system, then the final checks.
+
+    Yields NO when a rule certifies it, a blue element lies in no set, or
+    more than budget_lines^2 blue elements survive.
+    """
+    if instance.budget_lines is None:
+        raise BoundedBudget("pipeline needs a finite line budget")
+    if not model.is_linear_system(instance):
+        raise NotLinearSystem("two sets share two or more elements")
+    trace: list[TraceEntry] = []
+    forced: set[int] = set()
+    inst, no = _run_cycle(instance, rules, trace, forced)
+    if no is None:
+        no = _post_checks(inst)
+        if no is not None:
+            trace.append(TraceEntry("no_certificate", note=no))
+    if no is not None:
+        return KernelResult(None, trace, frozenset(forced), no)
+    return KernelResult(inst, trace, frozenset(forced))
 
 
 def _post_checks(instance: Instance) -> str | None:
@@ -156,66 +200,32 @@ def kernelize_kl_kr(instance: Instance) -> KernelResult:
     Yields NO when a blue element becomes uncoverable, a budget goes
     negative, or more than budget_lines^2 blue elements survive.
     """
-    if instance.budget_lines is None:
-        raise BoundedBudget("pipeline needs a finite line budget")
-    if not model.is_linear_system(instance):
-        raise NotLinearSystem("two sets share two or more elements")
-    trace: list[TraceEntry] = []
-    forced: set[int] = set()
-    inst = instance
-    while True:
-        inst, changed, no = _run_cycle(inst, trace, forced)
-        if no is not None:
-            return KernelResult(None, trace, frozenset(forced), no)
-        if not changed:
-            break
-    no = _post_checks(inst)
-    if no is not None:
-        trace.append(TraceEntry("no_certificate", note=no))
-        return KernelResult(None, trace, frozenset(forced), no)
-    return KernelResult(inst, trace, frozenset(forced))
+    return _pipeline(instance, (rule_delete_red_only, rule_delete_heavy_red, rule_force_big_blue))
 
 
 def kernelize_ell(instance: Instance) -> KernelResult:
     """Shrink to family-size-polynomial bounds, moving red multiplicity into weights.
 
-    The line budget is first capped at the family size (a solution can never
-    use more sets than exist), then the deletion rules run to a fixed point.
-    Red elements on two or more sets keep their weight; the red elements
-    exclusive to a single set are merged into one carrying their total weight.
-    Red elements on no set are dropped.  The result has at most ell^2 blue and
-    ell^2 + ell red elements for the surviving family size ell.
-    """
-    if instance.budget_lines is None:
-        raise BoundedBudget("pipeline needs a finite line budget")
-    if not model.is_linear_system(instance):
-        raise NotLinearSystem("two sets share two or more elements")
-    trace: list[TraceEntry] = []
-    forced: set[int] = set()
-    inst = instance
-    while True:
-        changed = False
-        ell = inst.num_sets
-        if inst.budget_lines > ell:
-            trace.append(
-                TraceEntry(
-                    "cap_budget_lines",
-                    delta_lines=ell - inst.budget_lines,
-                    note="budget cannot exceed family size",
-                )
-            )
-            inst = model.with_budgets(inst, budget_lines=ell)
-            changed = True
-        inst, cycled, no = _run_cycle(inst, trace, forced)
-        if no is not None:
-            return KernelResult(None, trace, frozenset(forced), no)
-        if not (changed or cycled):
-            break
-    no = _post_checks(inst)
-    if no is not None:
-        trace.append(TraceEntry("no_certificate", note=no))
-        return KernelResult(None, trace, frozenset(forced), no)
+    The line budget is capped at the family size (a solution can never use
+    more sets than exist) on every pass of the deletion rules, which run to
+    a fixed point.  Red elements on two or more sets keep their weight; the
+    red elements exclusive to a single set are merged into one carrying
+    their total weight.  Red elements on no set are dropped.  The result has
+    at most ell^2 blue and ell^2 + ell red elements for the surviving family
+    size ell.
 
+    The kernel is a size certificate: its merged reds carry weights, and the
+    fast solvers (solve_kl_kr, dp_solve and the special cases) take unit
+    weights only, so `rbsc solve --algo auto` sends a weighted kernel to
+    brute force, the one solver that sums weights.
+    """
+    base = _pipeline(
+        instance,
+        (rule_cap_budget_lines, rule_delete_red_only, rule_delete_heavy_red, rule_force_big_blue),
+    )
+    if base.is_no:
+        return base
+    inst, trace = base.instance, base.trace
     occurrences: dict[int, int] = {}
     for _, mem in inst.family:
         for eid in mem:
@@ -255,7 +265,7 @@ def kernelize_ell(instance: Instance) -> KernelResult:
             inst = model.delete_elements(inst, drop)
         if reweights:
             inst = model.set_weight(inst, keep, total)
-    return KernelResult(inst, trace, frozenset(forced))
+    return KernelResult(inst, trace, base.forced)
 
 
 def kernelize_kl_r(instance: Instance) -> KernelResult:

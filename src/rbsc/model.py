@@ -362,13 +362,19 @@ def _parse_nonneg(token: str, lineno: int, what: str) -> int:
     return int(token)
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse the line-oriented instance format; inverse of serialize_instance."""
+def _rows(text: str) -> list[tuple[int, list[str]]]:
+    """(1-based line number, tokens) of every line left non-blank once its comment is cut."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body.split()))
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            rows.append((lineno, tokens))
+    return rows
+
+
+def parse_instance(text: str) -> Instance:
+    """Parse the line-oriented instance format; inverse of serialize_instance."""
+    rows = _rows(text)
     if not rows:
         raise ParseError(1, "empty instance file")
     it = iter(rows)
@@ -476,11 +482,7 @@ def serialize_solution(solution: Solution | None) -> str:
 
 
 def parse_solution(text: str) -> SolutionFile:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body.split()))
+    rows = _rows(text)
     if not rows:
         raise ParseError(1, "empty solution file")
     lineno, head = rows[0]

@@ -132,6 +132,26 @@ def test_auto_matches_brute_across_corpus(tmp_path):
             assert a == b
 
 
+@pytest.mark.parametrize("budget_red", [2, 3])
+def test_auto_sends_weighted_ell_kernel_to_brute(tmp_path, capsys, budget_red):
+    # the ell kernel merges set 0's exclusive reds 2 and 3 into red 2 of weight 2
+    path = write_instance(tmp_path, abstract_instance("BBRRR", [{0, 2, 3}, {1, 4}], 2, budget_red))
+    assert cli.main(["kernelize", str(path), "--param", "ell"]) == 0
+    kernel = model.parse_instance((tmp_path / "case.rbsc.kernel").read_text())
+    assert kernel.is_weighted()
+    capsys.readouterr()
+    rc = cli.main(["solve", str(tmp_path / "case.rbsc.kernel"), "--algo", "auto"])
+    assert "algo brute" in capsys.readouterr().out.splitlines()
+    assert rc == cli.main(["solve", str(path), "--algo", "brute"]) == (0 if budget_red == 3 else 1)
+
+
+def test_auto_sends_non_linear_input_to_brute(tmp_path, capsys):
+    # sets 0 and 1 share three elements, and set 0 holds two reds, so neither dp nor fpt applies
+    path = write_instance(tmp_path, abstract_instance("BBRR", [{0, 1, 2, 3}, {0, 1, 2}], 1, 1))
+    assert cli.main(["solve", str(path), "--algo", "auto"]) == 0
+    assert "algo brute" in capsys.readouterr().out.splitlines()
+
+
 def test_kernelize_command(tmp_path, capsys):
     inst = abstract_instance("BBBBB", [{0}, {1}, {2}, {3}, {4}], 2, 0)
     path = write_instance(tmp_path, inst)

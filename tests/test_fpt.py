@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import abstract_instance, geometric_instance, intersection_graph
-from rbsc import fpt, generators, model, oracle
+from good_tuples import GoodTuple, check_conforming, enumerate_good_tuples
+from rbsc import cli, fpt, generators, model, oracle
 from rbsc.errors import DegreeExceeded, PreconditionViolated
-from rbsc.fpt import GoodTuple, SolveStats, check_conforming, enumerate_good_tuples
+from rbsc.fpt import SolveStats
 from rbsc.model import BLUE, RED
 
 
@@ -349,9 +350,14 @@ def test_solve_bounded_red_matches_plain_solver():
 
 def test_solve_kl_kr_counts_tree_nodes():
     # no multi-blue set: the root marks blue 0, its child marks blue 1, the leaf runs the core
+    for solver in (fpt.solve_kl_kr, fpt.solve_one_blue_special):
+        stats = SolveStats()
+        assert solver(one_blue_pair_instance(), stats=stats) is not None
+        assert (stats.branches, stats.pruned) == (3, 0), solver.__name__
+    # blue 1 lies in no set: the tree stops there and the one-blue search never runs
     stats = SolveStats()
-    assert fpt.solve_kl_kr(one_blue_pair_instance(), stats=stats) is not None
-    assert (stats.branches, stats.pruned) == (3, 0)
+    assert fpt.solve_one_blue_special(abstract_instance("BBR", [{0, 2}], 2, 1), stats=stats) is None
+    assert (stats.branches, stats.pruned, stats.tuples) == (2, 0, 0)
     # kernel drops the red set {0, 1, 3}; root picks {0, 2}, its child picks {1, 2}, a leaf
     stats = SolveStats()
     sol = fpt.solve_kl_kr(abstract_instance("BBBR", [{0, 1, 3}, {1, 2}, {0, 2}], 2, 0), stats=stats)
@@ -456,6 +462,17 @@ def test_solve_rbsc_two_red_examples():
         fpt.solve_rbsc_kr_two_red(abstract_instance("BR", [{0, 1}], None, 1))
     with pytest.raises(PreconditionViolated):
         fpt.solve_rbsc_kr_two_red(abstract_instance("BRR", [{0, 1, 2}], 3, 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rbsc_two_red_matches_brute_force(seed):
+    inst = generators.gen_random(seed, cli.PROFILES["two-red"])
+    expected = oracle.brute_force_solve(inst)
+    got = fpt.solve_rbsc_kr_two_red(inst)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert model.verify(inst, got.chosen).feasible
 
 
 def test_one_blue_family_structure():
