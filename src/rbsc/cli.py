@@ -54,7 +54,7 @@ def _pick_auto(inst: model.Instance, force: bool) -> str:
         if inst.num_red <= oracle.SUBSET_GUARD or force:
             return "red-subsets"
         return "brute"
-    if max(red_counts, default=0) <= 1 and inst.num_blue <= dp.MAX_BLUES:
+    if max(red_counts, default=0) <= 1 and dp.fits(inst):
         return "dp"
     if not model.is_linear_system(inst):
         return "brute"

@@ -50,7 +50,7 @@ class DegreeExceeded(RbscError):
 
 
 class TooManyBlues(RbscError):
-    """Blue count exceeds the subset-indexing limit."""
+    """The subset program's estimated table memory exceeds its limit."""
 
 
 class RedDegreeExceeded(RbscError):

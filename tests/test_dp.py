@@ -1,9 +1,12 @@
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import abstract_instance, brute_min_family_size
-from rbsc import dp, generators, model, oracle
+from rbsc import cli, dp, generators, model, oracle
 from rbsc.errors import PreconditionViolated, RedDegreeExceeded, TooManyBlues
 from rbsc.model import ABSTRACT, BLUE, RED, Element, Instance
 
@@ -174,3 +177,121 @@ def test_tied_covers_pick_smallest_set_red_and_submask():
     inst = abstract_instance("BBRR", [{0, 2}, {0, 3}, {1, 2}, {1}, {0, 2}], 2, 1)
     sol = dp.dp_solve(inst)
     assert sol is not None and sol.chosen == {0, 3}
+
+
+def _reference_layers(instance):
+    """The disjoint-submask layer loop over independently tabulated covers.
+
+    t[j][m] is the least v[sub] + t[j - 1][m minus sub] over all submasks
+    sub of m, walking every (mask, submask) pair; layers stop once stationary.
+    """
+    blues, reds, _, table = _full_tabulation(instance)
+    masks = range(1 << len(blues))
+    v = [min(table[(m, red)] for red in [None, *reds]) for m in masks]
+    t = [[table[(m, None)] for m in masks]]
+    for _ in range(instance.budget_red):
+        prev = t[-1]
+        cur = prev[:]
+        for m in masks:
+            best = prev[m]
+            sub = m
+            while sub:
+                val = v[sub] + prev[m ^ sub]
+                if val < best:
+                    best = val
+                sub = (sub - 1) & m
+            cur[m] = best
+        if cur == prev:
+            break
+        t.append(cur)
+    return t
+
+
+LAYER_PROFILE = generators.RandomProfile(
+    structure="max-one-red", mode=ABSTRACT, linear=False, min_points=7,
+    max_points=11, max_sets=14, max_budget_red=5, blue_chance=(2, 3),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cover_product_layers_match_reference(seed):
+    inst = generators.gen_random(seed, LAYER_PROFILE)
+    assert dp.compute_tables(inst).t == _reference_layers(inst)
+
+
+def test_cover_product_layers_on_tie_saturated_instance():
+    # Every blue in a red-free set and in a one-red set: every split of every
+    # mask ties, so each packed slot holds up to 3^b pairs.
+    blues = range(11)
+    inst = abstract_instance("B" * 11 + "R", [set(blues), {*blues, 11}], 2, 5)
+    tabs = dp.compute_tables(inst)
+    assert tabs.t == _reference_layers(inst)
+    assert tabs.t[0][(1 << 11) - 1] == 1
+    sol = dp.dp_solve(inst)
+    assert sol is not None and sol.chosen == {0}
+
+
+def test_packed_entries_stay_within_the_estimated_width(monkeypatch):
+    # One-blue sets in a chain: a cover uses nearly every set, so two layers
+    # sum to about twice the sentinel.  Cutting the products keeps every
+    # packed entry within the (sentinel + 1) * W bits that table_bytes counts.
+    b = 10
+    sets = [{i} for i in range(b - 2)] + [{b - 2, b}, {b - 1, b + 1}]
+    inst = abstract_instance("B" * b + "RR", sets, b, 2)
+    width = (inst.num_sets + 2) * (3**b).bit_length()
+    widest = []
+    transform = dp._transform
+
+    def watched(a, op):
+        widest.append(max(x.bit_length() for x in a))
+        transform(a, op)
+
+    monkeypatch.setattr(dp, "_transform", watched)
+    sol = dp.dp_solve(inst)
+    assert sol is not None and len(sol.chosen) == b
+    assert len(widest) == 5 and max(widest) <= width
+
+
+def test_no_table_without_lines_or_with_an_uncovered_blue(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    no_lines = abstract_instance("B" * 16 + "R", [set(range(16)), {0, 16}], 0, 1)
+    uncovered = abstract_instance("BBBR", [{0, 3}, {1}], 5, 1)
+    empty = dp.dp_solve(abstract_instance("R", [{0}], 0, 0))  # no blue: nothing to cover
+    assert empty is not None and empty.chosen == set()
+    filled = [dp.compute_tables(no_lines), dp.compute_tables(uncovered)]
+    assert filled[0].t[0][(1 << 16) - 1] == 1
+    assert filled[1].t[-1][0b111] == filled[1].infinity
+    monkeypatch.setattr(dp, "_fill", no_table)
+    assert dp.dp_solve(no_lines) is None
+    assert dp.dp_solve(uncovered) is None
+    with pytest.raises(RedDegreeExceeded):  # the preconditions still come first
+        dp.dp_solve(abstract_instance("BRR", [{0, 1, 2}], 0, 2))
+
+
+def test_guard_refuses_just_over_the_limit_without_allocating():
+    blues = 18
+    sets = [{b} for b in range(blues)]
+    while True:
+        under = abstract_instance("B" * blues, sets, blues, 0)
+        sets.append({len(sets) % blues, (len(sets) + 1) % blues})
+        over = abstract_instance("B" * blues, sets, blues, 0)
+        if not dp.fits(over):
+            break
+    assert dp.fits(under)
+    assert cli._pick_auto(under, False) == "dp"
+    assert cli._pick_auto(over, False) != "dp"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(TooManyBlues) as refused:
+            dp.dp_solve(over)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 1 << 20
+    assert str(dp.table_bytes(over)) in str(refused.value)
+    assert str(dp.MAX_TABLE_BYTES) in str(refused.value)
