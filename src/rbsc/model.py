@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import ParseError, SemanticError, UnknownSetId
-from .geometry import PlanePoint, canonical_line
+from .geometry import PlanePoint, _scaled
 
 BLUE = "B"
 RED = "R"
@@ -247,26 +247,28 @@ def validate(instance: Instance) -> ValidationReport:
                 )
             else:
                 coords[el.point] = el.eid
+        placed = [el for el in instance.elements if el.point is not None]
+        _, scaled = _scaled([el.point for el in placed])
+        xy = {el.eid: p for el, p in zip(placed, scaled)}
         for sid, mem in instance.family:
-            pts = [
-                (eid, instance.element(eid).point)
-                for eid in sorted(mem)
-                if instance.has_element(eid) and instance.element(eid).point is not None
-            ]
+            pts = [eid for eid in sorted(mem) if eid in xy]
             if len(pts) < 2:
                 continue
-            try:
-                line = canonical_line(pts[0][1], pts[1][1])
-            except Exception:
+            (x0, y0), (x1, y1) = xy[pts[0]], xy[pts[1]]
+            if x0 == x1 and y0 == y1:
                 continue  # coincident points already reported
-            if any(not line.contains(p) for _, p in pts):
+            # (x, y) lies on the line iff dx*(y - y0) - dy*(x - x0) == 0
+            dx, dy = x1 - x0, y1 - y0
+            c = dx * y0 - dy * x0
+            on = [eid for eid, (x, y) in xy.items() if dx * y - dy * x == c]
+            inside = set(pts)
+            if not inside.issubset(on):
                 rep.violations.append(f"set {sid} is not collinear")
                 continue
-            inside = {eid for eid, _ in pts}
-            for el in instance.elements:
-                if el.eid not in inside and el.point is not None and line.contains(el.point):
+            for eid in on:
+                if eid not in inside:
                     rep.violations.append(
-                        f"set {sid} is not maximal: element {el.eid} lies on its line"
+                        f"set {sid} is not maximal: element {eid} lies on its line"
                     )
     else:
         for el in instance.elements:

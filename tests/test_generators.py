@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from rbsc import generators as gen, model, oracle
+from rbsc import cli, generators as gen, model, oracle
 from rbsc.errors import FilterUnsatisfiable, NotRegular, ParseError
 from rbsc.model import ABSTRACT, BLUE, GEOMETRIC, RED
 
@@ -252,3 +253,33 @@ def test_source_format_bad_integer_names_its_line(parse, text, line):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.line == line
+
+
+def _digest(inst):
+    return hashlib.sha256(model.serialize_instance(inst).encode()).hexdigest()
+
+
+def test_generator_output_is_pinned():
+    # 4 classes of 3 vertices; class pair (i, j) matched by a -> (a + i + j) mod 3
+    classes = tuple(tuple(3 * c + a + 1 for a in range(3)) for c in range(4))
+    edges = frozenset(
+        (classes[i][a], classes[j][(a + i + j) % 3])
+        for i in range(4)
+        for j in range(i + 1, 4)
+        for a in range(3)
+    )
+    assert _digest(gen.gen_mcc_lines(gen.MulticoloredGraph(classes, edges), 3)) == (
+        "78fec432fe74be41af454748b9ced1a7e885f150d95bee8f6f684e1a1c86e518"
+    )
+    sets = ({1, 2, 3}, {3, 4}, {4, 5, 6, 7}, {1, 7}, {2, 5})
+    sc = gen.SetCoverInstance(7, tuple(map(frozenset, sets)), 3)
+    assert _digest(gen.gen_setcover_uniqred_lines(sc)) == (
+        "77dabf97fc94e49c2eccfbe21107ab918de49562b4099d7e821467185bd9044e"
+    )
+    pinned = {
+        3: "72ad0a66b5c2aab1cb10095169f2e198ac467a16f045c758b6cecca20f5e07f2",
+        17: "0d1f3933f6cc65b0e113323c96b1b6f8b1bf7a7223512a178436a103c1537dcd",
+        2024: "58dc69872fb3be5e32a48ee6f2445aa94963a7e77e225110661a61cd00215070",
+    }
+    for seed, digest in pinned.items():
+        assert _digest(gen.gen_random(seed, cli.PROFILES["default"])) == digest, seed
