@@ -164,13 +164,10 @@ def cmd_generate(args) -> int:
         else:
             inst = generators.gen_mcc_setsystem(g)
         default = Path(args.graph).with_suffix(".rbsc")
-    elif args.kind == "random":
+    else:  # random
         profile = PROFILES[args.profile]
         inst = generators.gen_random(args.seed, profile)
         default = Path(f"random-{args.profile}-{args.seed}.rbsc")
-    else:
-        print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
-        return 2
     report = model.validate(inst)
     if not report.ok:
         print("error GeneratorOutputInvalid: " + "; ".join(report.violations), file=sys.stderr)
@@ -231,6 +228,9 @@ def cmd_bench(args) -> int:
         print(f"error: no *.rbsc files in {args.corpus}", file=sys.stderr)
         return 2
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        print("error: no algorithms given", file=sys.stderr)
+        return 2
     for a in algos:
         if a not in ALGOS:
             print(f"error: unknown algorithm {a!r}", file=sys.stderr)

@@ -38,7 +38,7 @@ the first block of least total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from . import kernel, model
@@ -275,7 +275,7 @@ def solve_bounded_red(
         if len(split.red) > d:
             raise DegreeExceeded(f"set {sid} has {len(split.red)} red elements, more than d={d}")
     capped = min(instance.budget_red, d * instance.budget_lines)
-    sol = solve_kl_kr(model.with_budgets(instance, budget_red=capped), stats=stats)
+    sol = solve_kl_kr(replace(instance, budget_red=capped), stats=stats)
     if sol is None:
         return None
     return _finish(instance, sol.chosen, sol.forced)
@@ -324,7 +324,7 @@ def solve_rbsc_kr_two_red(
         [],
         forced,
     )
-    bounded = model.with_budgets(inst, budget_lines=comb(inst.budget_red, 2))
+    bounded = replace(inst, budget_lines=comb(inst.budget_red, 2))
     sub = solve_kl_kr(bounded, stats=stats)
     if sub is None:
         return None

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd
+from operator import attrgetter
 
 from .errors import (
     FilterUnsatisfiable,
@@ -486,7 +487,7 @@ def _random_geometric(rng: random.Random, profile: RandomProfile) -> Instance | 
     plane = [PlanePoint(x, y) for x, y in pts]
     lines = maximal_collinear_family(plane)
     candidates = []
-    for eq in sorted(lines):
+    for eq in sorted(lines, key=attrgetter("a", "b", "c")):
         members = lines[eq]
         blues = sum(1 for i in members if colors[i] == BLUE)
         if _structure_ok(profile, blues, len(members) - blues):

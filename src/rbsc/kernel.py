@@ -1,29 +1,22 @@
 """Answer-preserving reduction rules and the kernelization pipelines.
 
-Each rule returns a RuleOutcome with the (possibly) transformed instance plus
-trace entries; pipelines cycle the rules in a fixed order until nothing
-changes, so traces are reproducible.  Rules that commit a set to the solution
-record it in `forced`, and the corresponding red weight / line budget is
-deducted from the reduced instance's budgets.  Whenever a rule deletes
-elements, empty and duplicate sets are cleaned up immediately.
+Each rule looks at an instance and returns the TraceEntry of its edit, or
+None when it has nothing to do; model.apply_trace_entry is the one place
+that carries an edit out.  Pipelines cycle the rules in a fixed order until
+a whole pass returns None, so traces are reproducible and replay_trace
+rebuilds the kernel.  Rules that commit a set to the solution list it in
+forced_sets and deduct its red weight / one line from the budgets.
+Whenever an edit deletes elements, empty and duplicate sets are cleaned up
+at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import model
 from .errors import BoundedBudget, NotLinearSystem
 from .model import Instance, TraceEntry
-
-
-@dataclass
-class RuleOutcome:
-    changed: bool
-    instance: Instance
-    entries: list[TraceEntry] = field(default_factory=list)
-    forced: frozenset[int] = frozenset()
-    no_reason: str | None = None
 
 
 @dataclass
@@ -40,37 +33,27 @@ class KernelResult:
         return self.instance is None
 
 
-def _unchanged(instance: Instance) -> RuleOutcome:
-    return RuleOutcome(False, instance)
-
-
-def rule_delete_red_only(instance: Instance) -> RuleOutcome:
+def rule_delete_red_only(instance: Instance) -> TraceEntry | None:
     """Remove every set that contains no blue element."""
     drop = [sid for sid, split in instance.index.sets.items() if not split.blue]
-    if not drop:
-        return _unchanged(instance)
-    entry = TraceEntry("delete_red_only", removed_sets=tuple(drop))
-    return RuleOutcome(True, model.remove_sets(instance, drop), [entry])
+    return TraceEntry("delete_red_only", removed_sets=tuple(drop)) if drop else None
 
 
-def rule_delete_heavy_red(instance: Instance) -> RuleOutcome:
+def rule_delete_heavy_red(instance: Instance) -> TraceEntry | None:
     """Remove every set whose red weight alone exceeds the red budget."""
     k_r = instance.budget_red
     drop = [sid for sid, split in instance.index.sets.items() if split.red_weight > k_r]
-    if not drop:
-        return _unchanged(instance)
-    entry = TraceEntry("delete_heavy_red", removed_sets=tuple(drop))
-    return RuleOutcome(True, model.remove_sets(instance, drop), [entry])
+    return TraceEntry("delete_heavy_red", removed_sets=tuple(drop)) if drop else None
 
 
-def rule_force_big_blue(instance: Instance) -> RuleOutcome:
+def rule_force_big_blue(instance: Instance) -> TraceEntry | None:
     """Commit a set with more blue elements than could otherwise be covered.
 
     A set with >= budget_lines + 1 blue elements must be in any solution:
     in a linear set system every other set covers at most one of its blues.
     The smallest qualifying set id is taken; its elements are deleted from
     the universe and from every other set, and both budgets are reduced.
-    Exhausting a budget yields an immediate NO certificate.
+    Exhausting a budget yields a no_certificate entry instead.
     """
     if instance.budget_lines is None:
         raise BoundedBudget("rule needs a finite line budget")
@@ -80,82 +63,80 @@ def rule_force_big_blue(instance: Instance) -> RuleOutcome:
     splits = instance.index.sets
     target = next((sid for sid, split in splits.items() if len(split.blue) >= k_l + 1), None)
     if target is None:
-        return _unchanged(instance)
+        return None
     red_w = splits[target].red_weight
-    new_kl = k_l - 1
-    new_kr = instance.budget_red - red_w
-    if new_kl < 0 or new_kr < 0:
-        reason = f"budget exhausted while forcing set {target}"
-        return RuleOutcome(
-            True, instance, [TraceEntry("no_certificate", note=reason)], no_reason=reason
-        )
-    entry = TraceEntry(
+    if k_l < 1 or instance.budget_red < red_w:
+        return TraceEntry("no_certificate", note=f"budget exhausted while forcing set {target}")
+    return TraceEntry(
         "force_big_blue",
         forced_sets=(target,),
         removed_elements=tuple(sorted(instance.members(target))),
         delta_lines=-1,
         delta_red=-red_w,
     )
-    reduced = model.remove_sets(instance, (target,))
-    reduced = model.delete_elements(reduced, instance.members(target))
-    reduced = model.with_budgets(reduced, budget_lines=new_kl, budget_red=new_kr)
-    reduced, clean_entries = model.cleanup(reduced)
-    return RuleOutcome(True, reduced, [entry] + clean_entries, frozenset((target,)))
 
 
-def rule_take_blue_only(instance: Instance) -> RuleOutcome:
+def rule_take_blue_only(instance: Instance) -> TraceEntry | None:
     """With no bound on chosen sets, red-free sets are always taken."""
     if instance.budget_lines is not None:
         raise BoundedBudget("rule is only safe with an unbounded line budget")
     take = [sid for sid, split in instance.index.sets.items() if not split.red]
     if not take:
-        return _unchanged(instance)
+        return None
     covered = set()
     for sid in take:
         covered |= instance.members(sid)
-    entry = TraceEntry(
+    return TraceEntry(
         "take_blue_only", forced_sets=tuple(take), removed_elements=tuple(sorted(covered))
     )
-    reduced = model.remove_sets(instance, take)
-    reduced = model.delete_elements(reduced, covered)
-    reduced, clean_entries = model.cleanup(reduced)
-    return RuleOutcome(True, reduced, [entry] + clean_entries, frozenset(take))
 
 
-def rule_cap_budget_lines(instance: Instance) -> RuleOutcome:
+def rule_cap_budget_lines(instance: Instance) -> TraceEntry | None:
     """Cap the line budget at the family size: a solution never uses more sets than exist."""
     if instance.budget_lines is None:
         raise BoundedBudget("rule needs a finite line budget")
     ell = instance.num_sets
     if instance.budget_lines <= ell:
-        return _unchanged(instance)
-    entry = TraceEntry(
+        return None
+    return TraceEntry(
         "cap_budget_lines",
         delta_lines=ell - instance.budget_lines,
         note="budget cannot exceed family size",
     )
-    return RuleOutcome(True, model.with_budgets(instance, budget_lines=ell), [entry])
+
+
+def _apply(instance: Instance, entry: TraceEntry, trace) -> Instance:
+    """Log entry in trace and return the instance it edits."""
+    trace.append(entry)
+    return model.apply_trace_entry(instance, entry)[0]
 
 
 def _run_cycle(instance: Instance, rules, trace, forced) -> tuple[Instance, str | None]:
-    """Apply the rules in order, pass after pass, until a pass changes nothing.
+    """Apply the rules in order, pass after pass, until a whole pass returns None.
 
-    Every rule's trace entries go to trace and its committed sets to forced.
-    Returns the reduced instance and None, or the instance at hand and the
-    reason of the first NO certificate.
+    A rule must return an entry only when applying it changes the instance;
+    otherwise this loop never ends.  Every entry goes to trace and its forced
+    sets to forced; an entry that deletes elements is followed by the
+    cleanup entry, if any.  Returns the reduced instance and None, or the
+    instance at hand and the note of the first no_certificate entry.
     """
     changed = True
     while changed:
         changed = False
         for rule in rules:
-            out = rule(instance)
-            trace.extend(out.entries)
-            forced |= out.forced
-            if out.no_reason is not None:
-                return out.instance, out.no_reason
-            if out.changed:
-                changed = True
-                instance = out.instance
+            entry = rule(instance)
+            if entry is None:
+                continue
+            if entry.rule == "no_certificate":
+                trace.append(entry)
+                return instance, entry.note
+            instance = _apply(instance, entry, trace)
+            forced.update(entry.forced_sets)
+            if entry.removed_elements:
+                clean = model.cleanup(instance)
+                if clean is not None:
+                    instance = _apply(instance, clean, trace)
+            changed = True
     return instance, None
 
 
@@ -235,14 +216,12 @@ def kernelize_ell(instance: Instance) -> KernelResult:
     splits = inst.index.sets
     isolated = [eid for eid in inst.index.reds if eid not in occurrences]
     if isolated:
-        trace.append(
-            TraceEntry(
-                "drop_isolated_reds",
-                removed_elements=tuple(isolated),
-                note="red elements on no set are never covered",
-            )
+        entry = TraceEntry(
+            "drop_isolated_reds",
+            removed_elements=tuple(isolated),
+            note="red elements on no set are never covered",
         )
-        inst = model.delete_elements(inst, isolated)
+        inst = _apply(inst, entry, trace)
     for sid, split in splits.items():
         exclusive = sorted(e for e in split.red if occurrences[e] == 1)
         if not exclusive:
@@ -253,18 +232,13 @@ def kernelize_ell(instance: Instance) -> KernelResult:
         reweights = ((keep, total),) if total != inst.red_weight(keep) else ()
         if not drop and not reweights:
             continue
-        trace.append(
-            TraceEntry(
-                "merge_exclusive_red",
-                removed_elements=tuple(drop),
-                reweights=reweights,
-                note=f"set {sid}",
-            )
+        entry = TraceEntry(
+            "merge_exclusive_red",
+            removed_elements=tuple(drop),
+            reweights=reweights,
+            note=f"set {sid}",
         )
-        if drop:
-            inst = model.delete_elements(inst, drop)
-        if reweights:
-            inst = model.set_weight(inst, keep, total)
+        inst = _apply(inst, entry, trace)
     return KernelResult(inst, trace, base.forced)
 
 
@@ -278,8 +252,7 @@ def kernelize_kl_r(instance: Instance) -> KernelResult:
     base = kernelize_kl_kr(instance)
     if base.is_no:
         return base
-    inst = base.instance
-    trace = list(base.trace)
+    inst, trace = base.instance, base.trace
     keeper: dict[int, int] = {}
     drop = []
     for sid, split in inst.index.sets.items():
@@ -290,12 +263,10 @@ def kernelize_kl_r(instance: Instance) -> KernelResult:
             else:
                 keeper[eid] = sid
     if drop:
-        trace.append(
-            TraceEntry(
-                "dedupe_singletons",
-                removed_sets=tuple(drop),
-                note="one singleton set per blue element suffices",
-            )
+        entry = TraceEntry(
+            "dedupe_singletons",
+            removed_sets=tuple(drop),
+            note="one singleton set per blue element suffices",
         )
-        inst = model.remove_sets(inst, drop)
+        inst = _apply(inst, entry, trace)
     return KernelResult(inst, trace, base.forced)

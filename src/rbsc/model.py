@@ -1,16 +1,16 @@
 """Instance and solution model, structural validation, and file I/O.
 
-Instances are immutable after construction; the transformation helpers at the
-bottom (element deletion, set removal, budget changes, cleanup) always return
-fresh instances and are the only mutation surface the kernelization rules use.
-Deleting elements from a geometric instance switches it to abstract mode: only
-the linear-set-system structure is guaranteed afterwards, so coordinates are
-dropped rather than kept half-valid.
+Instances are immutable after construction.  A kernel edit is a TraceEntry,
+and apply_trace_entry at the bottom is the one place that carries one out,
+returning a fresh instance; cleanup names the empty and duplicate sets to drop
+as such an entry.  Deleting elements from a geometric instance switches it to
+abstract mode: only the linear-set-system structure is guaranteed afterwards,
+so coordinates are dropped rather than kept half-valid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -511,84 +511,47 @@ def parse_solution(text: str) -> SolutionFile:
 
 
 # ---------------------------------------------------------------------------
-# transformation helpers used by kernelization
+# applying kernel edits
 
 
-def remove_sets(instance: Instance, sids) -> Instance:
-    drop = set(sids)
-    return replace(instance, family=tuple((s, m) for s, m in instance.family if s not in drop))
-
-
-def delete_elements(instance: Instance, eids) -> Instance:
-    """Remove elements from the universe and every set.
-
-    Sets may stop being maximal collinear families of the shrunken universe,
-    so the result is demoted to abstract mode (coordinates dropped).
-    """
-    drop = set(eids)
-    if not drop:
-        return instance
-    elements = tuple(
-        Element(e.eid, e.color, None, e.weight) for e in instance.elements if e.eid not in drop
-    )
-    family = tuple((s, m - drop) for s, m in instance.family)
-    return replace(instance, elements=elements, family=family, mode=ABSTRACT)
-
-
-_KEEP = object()
-
-
-def with_budgets(instance: Instance, budget_lines=_KEEP, budget_red=_KEEP) -> Instance:
-    kwargs = {}
-    if budget_lines is not _KEEP:
-        kwargs["budget_lines"] = budget_lines
-    if budget_red is not _KEEP:
-        kwargs["budget_red"] = budget_red
-    return replace(instance, **kwargs)
-
-
-def set_weight(instance: Instance, eid: int, weight: int) -> Instance:
-    elements = tuple(
-        Element(e.eid, e.color, e.point, weight if e.eid == eid else e.weight)
-        for e in instance.elements
-    )
-    return replace(instance, elements=elements)
-
-
-def cleanup(instance: Instance) -> tuple[Instance, list[TraceEntry]]:
-    """Drop empty sets and deduplicate identical sets (smallest id survives)."""
+def cleanup(instance: Instance) -> TraceEntry | None:
+    """The entry dropping empty sets and duplicate sets (smallest id survives), if any."""
     removed = []
-    seen: dict[frozenset[int], int] = {}
-    keep = []
+    seen: set[frozenset[int]] = set()
     for sid, mem in instance.family:  # family is sorted, so first owner has smallest id
-        if not mem:
+        if not mem or mem in seen:
             removed.append(sid)
-        elif mem in seen:
-            removed.append(sid)
-        else:
-            seen[mem] = sid
-            keep.append((sid, mem))
+        seen.add(mem)
     if not removed:
-        return instance, []
-    entry = TraceEntry("cleanup", removed_sets=tuple(removed), note="empty or duplicate sets")
-    return replace(instance, family=tuple(keep)), [entry]
+        return None
+    return TraceEntry("cleanup", removed_sets=tuple(removed), note="empty or duplicate sets")
 
 
 def apply_trace_entry(instance: Instance, entry: TraceEntry) -> tuple[Instance, frozenset[int]]:
-    """Mechanically apply one trace entry; returns (instance, newly forced sets)."""
-    inst = instance
+    """Apply one trace entry; returns (instance, newly forced sets).
+
+    Removed and forced sets leave the family; removed elements leave the
+    universe and every set.  Sets may then stop being maximal collinear
+    families of the shrunken universe, so deleting elements demotes the
+    instance to abstract mode and drops every coordinate.
+    """
     gone = set(entry.removed_sets) | set(entry.forced_sets)
-    if gone:
-        inst = remove_sets(inst, gone)
-    if entry.removed_elements:
-        inst = delete_elements(inst, entry.removed_elements)
+    drop = set(entry.removed_elements)
+    weights = dict(entry.reweights)
+    elements = instance.elements
+    if drop or weights:
+        elements = tuple(
+            Element(e.eid, e.color, None if drop else e.point, weights.get(e.eid, e.weight))
+            for e in elements
+            if e.eid not in drop
+        )
+    mode = ABSTRACT if drop else instance.mode
+    family = tuple((s, m - drop) for s, m in instance.family if s not in gone)
+    budget_lines = instance.budget_lines
     if entry.delta_lines:
-        inst = with_budgets(inst, budget_lines=inst.budget_lines + entry.delta_lines)
-    if entry.delta_red:
-        inst = with_budgets(inst, budget_red=inst.budget_red + entry.delta_red)
-    for eid, weight in entry.reweights:
-        inst = set_weight(inst, eid, weight)
-    return inst, frozenset(entry.forced_sets)
+        budget_lines += entry.delta_lines
+    reduced = Instance(elements, family, budget_lines, instance.budget_red + entry.delta_red, mode)
+    return reduced, frozenset(entry.forced_sets)
 
 
 def replay_trace(instance: Instance, trace) -> tuple[Instance, frozenset[int]]:

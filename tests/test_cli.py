@@ -172,6 +172,24 @@ def test_kernelize_command(tmp_path, capsys):
     assert model.parse_instance(out2.read_text()) == kern
 
 
+def test_kernelize_writes_the_pipeline_trace_and_kernel(tmp_path, capsys):
+    for seed in range(20):
+        inst = generators.gen_random(seed, cli.PROFILES["abstract"])
+        path = write_instance(tmp_path, inst, f"k{seed}.rbsc")
+        for param, pipeline in cli.PIPELINES.items():
+            kern, trace = tmp_path / f"k{seed}.{param}.kernel", tmp_path / f"k{seed}.{param}.trace"
+            rc = cli.main(["kernelize", str(path), "--param", param, "--out", str(kern), "--trace", str(trace)])
+            res = pipeline(inst)
+            assert rc == (1 if res.is_no else 0)
+            assert trace.read_text() == model.format_trace(res.trace)
+            if res.is_no:
+                assert not kern.exists()
+                assert f"decision no ({res.no_reason})" in capsys.readouterr().out
+            else:
+                assert kern.read_text() == model.serialize_instance(res.instance)
+                assert f"forced {len(res.forced)}" in capsys.readouterr().out
+
+
 def test_generate_roundtrip_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.rbsc", tmp_path / "b.rbsc"
     assert cli.main(["generate", "random", "--seed", "7", "--profile", "one-blue", "--out", str(out1)]) == 0
@@ -256,3 +274,11 @@ def test_bench_command(tmp_path, capsys):
         [row["instance"], row["algo"], row["decision"]] for row in csv.DictReader(open(text))
     ]
     assert strip(csv_path) == strip(again)
+
+
+def test_bench_rejects_empty_algorithm_list(tmp_path, capsys):
+    write_instance(tmp_path, tiny_yes())
+    csv_path = tmp_path / "empty.csv"
+    assert cli.main(["bench", str(tmp_path), "--algos", ",", "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err == "error: no algorithms given\n"
+    assert not csv_path.exists()

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ def test_examples():
     full = 0b11
     assert tabs.t[1][full] == 2
     assert tabs.t[0][full] == tabs.infinity
-    assert dp.dp_solve(model.with_budgets(shared, budget_red=0)) is None
+    assert dp.dp_solve(replace(shared, budget_red=0)) is None
     got = dp.dp_solve(shared)
     assert got is not None and len(got.chosen) == 2
 
@@ -110,9 +111,7 @@ def test_w_none_equals_red_free_cover_size():
         stripped = Instance(
             inst.elements, tuple(redfree), None, inst.budget_red, ABSTRACT
         )
-        expect = brute_min_family_size(
-            model.with_budgets(stripped, budget_red=0)
-        )
+        expect = brute_min_family_size(replace(stripped, budget_red=0))
         got = tabs.w[(full, None)]
         assert (expect is None and got >= tabs.infinity) or expect == got
 
@@ -140,9 +139,9 @@ def test_enormous_red_budget_terminates():
         structure="max-one-red", mode=ABSTRACT, linear=False, max_points=10, max_sets=10
     )
     for seed in range(20):
-        inst = model.with_budgets(generators.gen_random(seed, profile), budget_red=10**9)
+        inst = replace(generators.gen_random(seed, profile), budget_red=10**9)
         sol = dp.dp_solve(inst)
-        expected = brute_min_family_size(model.with_budgets(inst, budget_red=inst.num_red))
+        expected = brute_min_family_size(replace(inst, budget_red=inst.num_red))
         assert (sol is None) == (expected is None)
         if sol is not None:
             assert len(sol.chosen) == expected

@@ -1,42 +1,49 @@
+import hashlib
+from functools import cache
+
 import pytest
 
 from conftest import abstract_instance
-from rbsc import generators, kernel, model, oracle
+from rbsc import cli, generators, kernel, model, oracle
 from rbsc.errors import BoundedBudget, NotLinearSystem
 from rbsc.model import ABSTRACT, RED
 
 
+def _applied(entry, inst):
+    """The instance and forced sets a rule's entry leads to."""
+    assert entry is not None and entry.rule != "no_certificate"
+    return model.apply_trace_entry(inst, entry)
+
+
 def test_delete_red_only_examples():
     inst = abstract_instance("RRB", [{0, 1}, {2}], 3, 2)
-    out = kernel.rule_delete_red_only(inst)
-    assert out.changed and out.instance.set_ids == [1]
-    again = kernel.rule_delete_red_only(out.instance)
-    assert not again.changed and again.instance is out.instance
+    reduced, forced = _applied(kernel.rule_delete_red_only(inst), inst)
+    assert reduced.set_ids == [1] and not forced
+    assert kernel.rule_delete_red_only(reduced) is None
 
 
 def test_delete_heavy_red_examples():
     inst = abstract_instance("RRB", [{0, 1, 2}], 3, 1)
-    out = kernel.rule_delete_heavy_red(inst)
-    assert out.changed and out.instance.num_sets == 0
+    reduced, _ = _applied(kernel.rule_delete_heavy_red(inst), inst)
+    assert reduced.num_sets == 0
     zero = abstract_instance("RB", [{0, 1}], 3, 0)
-    assert kernel.rule_delete_heavy_red(zero).instance.num_sets == 0
+    assert _applied(kernel.rule_delete_heavy_red(zero), zero)[0].num_sets == 0
 
 
 def test_heavy_red_uses_weights():
     inst = abstract_instance("RB", [{0, 1}], 3, 2, weights={0: 3})
-    assert kernel.rule_delete_heavy_red(inst).changed
+    assert kernel.rule_delete_heavy_red(inst) is not None
 
 
 def test_force_big_blue_example():
     inst = abstract_instance("BBRB", [{0, 1, 2}, {0, 3}], 1, 2)
-    out = kernel.rule_force_big_blue(inst)
-    assert out.forced == {0}
-    red = out.instance
+    red, forced = _applied(kernel.rule_force_big_blue(inst), inst)
+    assert forced == {0}
     assert red.budget_lines == 0 and red.budget_red == 1
     assert red.family == ((1, frozenset({3})),)
     assert red.mode == ABSTRACT
     calm = abstract_instance("BBB", [{0, 1}, {1, 2}], 2, 0)
-    assert not kernel.rule_force_big_blue(calm).changed
+    assert kernel.rule_force_big_blue(calm) is None
 
 
 def test_force_big_blue_requires_linear_system():
@@ -47,19 +54,19 @@ def test_force_big_blue_requires_linear_system():
 
 def test_force_big_blue_budget_exhaustion_is_no():
     inst = abstract_instance("BBR", [{0, 1, 2}], 0, 5)
-    out = kernel.rule_force_big_blue(inst)
-    assert out.no_reason is not None
+    entry = kernel.rule_force_big_blue(inst)
+    assert entry.rule == "no_certificate" and entry.note == "budget exhausted while forcing set 0"
 
 
 def test_take_blue_only_examples():
     inst = abstract_instance("BBR", [{0, 1}, {1, 2}], None, 1)
-    out = kernel.rule_take_blue_only(inst)
-    assert out.forced == {0}
-    assert out.instance.family == ((1, frozenset({2})),)
+    reduced, forced = _applied(kernel.rule_take_blue_only(inst), inst)
+    assert forced == {0}
+    assert reduced.family == ((1, frozenset({2})),)
     with pytest.raises(BoundedBudget):
         kernel.rule_take_blue_only(abstract_instance("B", [{0}], 2, 0))
     none = abstract_instance("BR", [{0, 1}], None, 1)
-    assert not kernel.rule_take_blue_only(none).changed
+    assert kernel.rule_take_blue_only(none) is None
 
 
 def test_kernelize_kl_kr_no_when_too_many_blues():
@@ -208,3 +215,74 @@ def test_kernelize_requires_finite_budget():
     for pipeline in (kernel.kernelize_kl_kr, kernel.kernelize_ell, kernel.kernelize_kl_r):
         with pytest.raises(BoundedBudget):
             pipeline(inst)
+
+
+PIN_PROFILES = {
+    "default": cli.PROFILES["default"],
+    "abstract": cli.PROFILES["abstract"],
+    "geometric-blue-2-3": generators.RandomProfile(blue_chance=(2, 3)),
+}
+
+
+@cache
+def _pin_corpus(profile: str) -> tuple[model.Instance, ...]:
+    return tuple(generators.gen_random(seed, PIN_PROFILES[profile]) for seed in range(200))
+
+
+def _kernel_record(res: kernel.KernelResult) -> str:
+    kern = "" if res.is_no else model.serialize_instance(res.instance)
+    forced = ",".join(map(str, sorted(res.forced)))
+    return "\n--\n".join((model.format_trace(res.trace), kern, forced, str(res.no_reason)))
+
+
+PINNED_KERNELS = {
+    ("ell", "abstract"): "a059496b47bcb859374ab168f55bd7175ec45755b0abdb53bc1cfdcbf54c2204",
+    ("kl-kr", "abstract"): "fa18df13b3a3909ddb0ea64e894daa07b3673f305cbaf06791ad830ed0601414",
+    ("kl-r", "abstract"): "fa18df13b3a3909ddb0ea64e894daa07b3673f305cbaf06791ad830ed0601414",
+    ("ell", "default"): "ee9d6d763bf95c014a5ec17e359708da2d895064b69fe7c027743fc35c7ee744",
+    ("kl-kr", "default"): "99fea01de4a55d1126347b3b5a79c2ac4cedcbca34d8705770ead3cc749d6ddf",
+    ("kl-r", "default"): "99fea01de4a55d1126347b3b5a79c2ac4cedcbca34d8705770ead3cc749d6ddf",
+    ("ell", "geometric-blue-2-3"): "3a68bbcaaccd299e75a83b4359cf0a16b17868b6f9b304e7f52ec7871bb425b0",
+    ("kl-kr", "geometric-blue-2-3"): "4cd6221178ab366ceca53cdef046c6824b49d426431076b0c910331eca47dcd8",
+    ("kl-r", "geometric-blue-2-3"): "4cd6221178ab366ceca53cdef046c6824b49d426431076b0c910331eca47dcd8",
+}
+
+
+@pytest.mark.parametrize("param", sorted(cli.PIPELINES))
+@pytest.mark.parametrize("profile", sorted(PIN_PROFILES))
+def test_kernel_output_is_pinned(param, profile):
+    """Trace text, kernel file, forced sets and NO reason of 200 seeds, hashed."""
+    pipeline = cli.PIPELINES[param]
+    records = "\n==\n".join(_kernel_record(pipeline(inst)) for inst in _pin_corpus(profile))
+    assert hashlib.sha256(records.encode()).hexdigest() == PINNED_KERNELS[param, profile]
+
+
+def test_every_trace_entry_changes_the_instance():
+    """Rules report an edit only when it changes the instance, so the rule loop ends."""
+    handmade = (
+        abstract_instance("B", [{0}, {0}, {0}], 2, 0),
+        abstract_instance("BRRRR", [{0, 1, 2, 3, 4}, {4}], 2, 4),
+    )
+    corpus = [inst for profile in sorted(PIN_PROFILES) for inst in _pin_corpus(profile)]
+    rules = set()
+    for inst in corpus + list(handmade):
+        for pipeline in cli.PIPELINES.values():
+            cur = inst
+            for entry in pipeline(inst).trace:
+                rules.add(entry.rule)
+                if entry.rule == "no_certificate":
+                    break
+                nxt, _ = model.apply_trace_entry(cur, entry)
+                assert nxt != cur, entry
+                cur = nxt
+    assert rules == {
+        "cap_budget_lines",
+        "cleanup",
+        "dedupe_singletons",
+        "delete_heavy_red",
+        "delete_red_only",
+        "drop_isolated_reds",
+        "force_big_blue",
+        "merge_exclusive_red",
+        "no_certificate",
+    }

@@ -194,18 +194,20 @@ def test_weighted_roundtrip():
 
 def test_cleanup_removes_empty_and_duplicate_sets():
     inst = abstract_instance("BB", [{0}, set(), {0}, {0, 1}], 4, 0)
-    cleaned, entries = model.cleanup(inst)
-    assert [sid for sid, _ in cleaned.family] == [0, 3]
-    assert entries and entries[0].removed_sets == (1, 2)
+    entry = model.cleanup(inst)
+    assert entry is not None and entry.removed_sets == (1, 2)
+    cleaned, forced = model.apply_trace_entry(inst, entry)
+    assert [sid for sid, _ in cleaned.family] == [0, 3] and not forced
+    assert model.cleanup(cleaned) is None
 
 
-def test_delete_elements_switches_to_abstract():
+def test_deleting_elements_switches_to_abstract():
     inst = tiny_two_line_instance()
-    reduced = model.delete_elements(inst, {1})
+    reduced, _ = model.apply_trace_entry(inst, TraceEntry("drop", removed_elements=(1,)))
     assert reduced.mode == ABSTRACT
     assert all(el.point is None for el in reduced.elements)
     assert reduced.members(0) == frozenset({0, 2})
-    assert model.delete_elements(inst, set()) is inst
+    assert model.apply_trace_entry(inst, TraceEntry("drop", removed_elements=()))[0] == inst
 
 
 def test_trace_replay_and_format():
@@ -287,6 +289,6 @@ def test_index_skips_dangling_members_and_is_rebuilt_on_replace():
     split = inst.index.sets[0]
     assert split.blue == {0} and split.red == {1} and split.red_weight == 3
     assert verify(inst, {0}).feasible
-    reduced = model.delete_elements(inst, {1})
+    reduced, _ = model.apply_trace_entry(inst, TraceEntry("drop", removed_elements=(1,)))
     assert reduced.index is not inst.index
     assert reduced.index.sets[0].red == frozenset() and not reduced.is_weighted()

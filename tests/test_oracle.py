@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import abstract_instance, geometric_instance
@@ -49,7 +51,7 @@ def test_guard():
 def test_weighted_budget_respected():
     inst = abstract_instance("BR", [{0, 1}], 1, 4, weights={1: 5})
     assert oracle.brute_force_solve(inst) is None
-    assert oracle.brute_force_solve(model.with_budgets(inst, budget_red=5)) is not None
+    assert oracle.brute_force_solve(replace(inst, budget_red=5)) is not None
 
 
 def test_red_subsets_examples():
