@@ -1,10 +1,11 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
 from rbsc import cli, generators as gen, model, oracle
-from rbsc.errors import FilterUnsatisfiable, NotRegular, ParseError
+from rbsc.errors import FilterUnsatisfiable, GeometryAuditError, NotRegular, ParseError
 from rbsc.model import ABSTRACT, BLUE, GEOMETRIC, RED
 
 
@@ -127,6 +128,18 @@ def test_mcc_lines_rejects_irregular():
     broken = gen.MulticoloredGraph(((1,), (2,), (3,)), frozenset({(1, 2), (2, 3)}))
     with pytest.raises(NotRegular):
         gen.gen_mcc_lines(broken, 1)
+
+
+def test_mcc_lines_audit_refuses_coincident_crossings(monkeypatch):
+    intersect, crossings = gen.intersect, []
+
+    def second_repeats_first(a, b):
+        crossings.append(intersect(a, b))
+        return crossings[0] if len(crossings) == 2 else crossings[-1]
+
+    monkeypatch.setattr(gen, "intersect", second_repeats_first)
+    with pytest.raises(GeometryAuditError):
+        gen.gen_mcc_lines(k222(), 4)
 
 
 def test_mcc_setsystem_examples():
@@ -259,6 +272,32 @@ def _digest(inst):
     return hashlib.sha256(model.serialize_instance(inst).encode()).hexdigest()
 
 
+def _seeded_mcgraph(seed):
+    """k classes of m vertices; every class pair complete, empty or a perfect
+    matching; about 1 in 4 graphs with edges loses one and is no longer regular."""
+    rng = random.Random(seed)
+    k, m = rng.randint(1, 5), rng.randint(1, 3)
+    classes = tuple(tuple(m * c + a + 1 for a in range(m)) for c in range(k))
+    kind = rng.choice(("complete", "empty", "matching", "matching"))
+    edges = set()
+    for i, j in combinations(range(k), 2):
+        if kind == "complete":
+            edges |= {(u, v) for u in classes[i] for v in classes[j]}
+        elif kind == "matching":
+            edges |= set(zip(classes[i], rng.sample(classes[j], m)))
+    d = {"complete": (k - 1) * m, "empty": 0, "matching": k - 1}[kind]
+    if edges and rng.randrange(4) == 0:
+        edges.remove(rng.choice(sorted(edges)))
+    return gen.MulticoloredGraph(classes, frozenset(edges)), d
+
+
+def _mcc_lines_record(seed):
+    try:
+        return model.serialize_instance(gen.gen_mcc_lines(*_seeded_mcgraph(seed)))
+    except NotRegular as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def test_generator_output_is_pinned():
     # 4 classes of 3 vertices; class pair (i, j) matched by a -> (a + i + j) mod 3
     classes = tuple(tuple(3 * c + a + 1 for a in range(3)) for c in range(4))
@@ -270,6 +309,10 @@ def test_generator_output_is_pinned():
     )
     assert _digest(gen.gen_mcc_lines(gen.MulticoloredGraph(classes, edges), 3)) == (
         "78fec432fe74be41af454748b9ced1a7e885f150d95bee8f6f684e1a1c86e518"
+    )
+    records = "\n==\n".join(_mcc_lines_record(seed) for seed in range(30))
+    assert hashlib.sha256(records.encode()).hexdigest() == (
+        "b83c99cad97ff28903bef6638e0813d155b4a2f7c3be97069c8e99a094a00626"
     )
     sets = ({1, 2, 3}, {3, 4}, {4, 5, 6, 7}, {1, 7}, {2, 5})
     sc = gen.SetCoverInstance(7, tuple(map(frozenset, sets)), 3)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from functools import cache
 
 import pytest
@@ -224,8 +225,25 @@ PIN_PROFILES = {
 }
 
 
+def _handmade(seed: int) -> model.Instance:
+    """A linear abstract instance rich in empty sets and singletons, red or
+    blue, often repeated: the duplicates the generators never emit."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    colors = "".join(rng.choice("BR") for _ in range(n))
+    sets: list[set[int]] = []
+    for _ in range(rng.randint(1, 8)):
+        size = rng.choice((0, 1, 1, 1, 2, 3))
+        mem = set(rng.sample(range(n), min(size, n)))
+        if all(len(mem & other) <= 1 for other in sets):
+            sets.append(mem)
+    return abstract_instance(colors, sets, rng.randint(1, 4), rng.randint(0, 3))
+
+
 @cache
 def _pin_corpus(profile: str) -> tuple[model.Instance, ...]:
+    if profile == "handmade":
+        return tuple(_handmade(seed) for seed in range(300))
     return tuple(generators.gen_random(seed, PIN_PROFILES[profile]) for seed in range(200))
 
 
@@ -245,13 +263,16 @@ PINNED_KERNELS = {
     ("ell", "geometric-blue-2-3"): "3a68bbcaaccd299e75a83b4359cf0a16b17868b6f9b304e7f52ec7871bb425b0",
     ("kl-kr", "geometric-blue-2-3"): "4cd6221178ab366ceca53cdef046c6824b49d426431076b0c910331eca47dcd8",
     ("kl-r", "geometric-blue-2-3"): "4cd6221178ab366ceca53cdef046c6824b49d426431076b0c910331eca47dcd8",
+    ("ell", "handmade"): "3e7c4a5fc8eeb0ac2043886b462a1bdeda957491ba745fe51d2db0ead0247f39",
+    ("kl-kr", "handmade"): "b102c751bb4821605ddf56bd73da011441b717d13c82883e6831acac6eab917f",
+    ("kl-r", "handmade"): "159da48527919799ba0348e713b24a5f4e84387f2a1cf57e71760131972944c4",
 }
 
 
 @pytest.mark.parametrize("param", sorted(cli.PIPELINES))
-@pytest.mark.parametrize("profile", sorted(PIN_PROFILES))
+@pytest.mark.parametrize("profile", [*sorted(PIN_PROFILES), "handmade"])
 def test_kernel_output_is_pinned(param, profile):
-    """Trace text, kernel file, forced sets and NO reason of 200 seeds, hashed."""
+    """Trace text, kernel file, forced sets and NO reason of each corpus, hashed."""
     pipeline = cli.PIPELINES[param]
     records = "\n==\n".join(_kernel_record(pipeline(inst)) for inst in _pin_corpus(profile))
     assert hashlib.sha256(records.encode()).hexdigest() == PINNED_KERNELS[param, profile]
