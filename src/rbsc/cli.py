@@ -49,7 +49,7 @@ def _pick_auto(inst: model.Instance, force: bool) -> str:
         return "brute"
     red_counts = [len(split.red) for split in inst.index.sets.values()]
     if inst.budget_lines is None:
-        if 1 not in red_counts:
+        if 1 not in red_counts and model.is_linear_system(inst):
             return "rbsc-two-red"
         if inst.num_red <= oracle.SUBSET_GUARD or force:
             return "red-subsets"

@@ -38,7 +38,8 @@ class NotLinearSystem(RbscError):
 
 
 class BoundedBudget(RbscError):
-    """Operation requires an unbounded set budget."""
+    """Wrong kind of line budget: unbounded where the operation needs a finite
+    one, or finite where it needs an unbounded one."""
 
 
 class PreconditionViolated(RbscError):

@@ -307,7 +307,9 @@ def solve_rbsc_kr_two_red(
     Red-free sets are always taken and useless sets dropped; each surviving
     set then holds at least two of the at most budget_red coverable reds, so
     some solution uses at most C(budget_red, 2) sets and the finite-budget
-    solver applies.
+    solver applies.  That solver needs a linear set system, so a family the
+    rules leave non-linear raises NotLinearSystem; `rbsc solve --algo auto`
+    picks this solver for linear input only.
     """
     _require_unweighted(instance)
     if instance.budget_lines is not None:

@@ -26,7 +26,7 @@ from .errors import (
     SemanticError,
 )
 from .geometry import LineEquation, PlanePoint, canonical_line, intersect, maximal_collinear_family
-from .model import ABSTRACT, BLUE, GEOMETRIC, RED, Element, Instance, _parse_nonneg, _rows
+from .model import ABSTRACT, BLUE, GEOMETRIC, RED, Element, Instance, _parse_nonneg, _rows, validate
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +304,10 @@ def gen_mcc_lines(g: MulticoloredGraph, d: int) -> Instance:
 
     Class i gets blue anchors (0, i) and (i, 0).  Each vertex owns a
     near-horizontal and a near-vertical line; red points mark every
-    vertex self-intersection and both crossings per edge.  The audit
-    recomputes all incidences exactly and refuses degenerate output.
+    vertex self-intersection and both crossings per edge, each added to
+    the two lines that define it, so each line carries d + 1 reds.
+    model.validate audits the result exactly: it refuses coincident points
+    and any set that is not all the points on its line.
     """
     k = g.num_classes
     if d < 0:
@@ -313,77 +315,35 @@ def gen_mcc_lines(g: MulticoloredGraph, d: int) -> Instance:
     for v in g.vertices:
         if g.degree(v) != d:
             raise NotRegular(f"vertex {v} has degree {g.degree(v)}, expected {d}")
-    blue_h = {i: PlanePoint(Fraction(0), Fraction(i)) for i in range(1, k + 1)}
-    blue_v = {i: PlanePoint(Fraction(i), Fraction(0)) for i in range(1, k + 1)}
-    horiz: dict[int, LineEquation] = {}
-    vert: dict[int, LineEquation] = {}
-    for ci, cls in enumerate(g.classes, start=1):
+    elements = [Element(i, BLUE, PlanePoint(Fraction(0), Fraction(i + 1))) for i in range(k)]
+    elements += [Element(k + i, BLUE, PlanePoint(Fraction(i + 1), Fraction(0))) for i in range(k)]
+    # vertex -> (its line, the element ids on it so far), in class order
+    horiz: dict[int, tuple[LineEquation, set[int]]] = {}
+    vert: dict[int, tuple[LineEquation, set[int]]] = {}
+    for ci, cls in enumerate(g.classes):
         for idx, u in enumerate(cls):
-            offset = ci - 1 + Fraction(idx + 1, 2 * (len(cls) + 1))
-            horiz[u] = canonical_line(blue_h[ci], PlanePoint(Fraction(k), offset))
-            vert[u] = canonical_line(blue_v[ci], PlanePoint(offset, Fraction(k)))
-
-    elements: list[Element] = []
-    eid = 0
-    blue_eid: dict[tuple[str, int], int] = {}
-    for i in range(1, k + 1):
-        blue_eid[("h", i)] = eid
-        elements.append(Element(eid, BLUE, blue_h[i]))
-        eid += 1
-    for i in range(1, k + 1):
-        blue_eid[("v", i)] = eid
-        elements.append(Element(eid, BLUE, blue_v[i]))
-        eid += 1
-
-    red_defs: list[tuple[PlanePoint, int, int]] = []  # (point, on horiz of, on vert of)
-    for u in g.vertices:
-        pt = intersect(horiz[u], vert[u])
-        red_defs.append((pt, u, u))
+            offset = ci + Fraction(idx + 1, 2 * (len(cls) + 1))
+            far_h, far_v = PlanePoint(Fraction(k), offset), PlanePoint(offset, Fraction(k))
+            horiz[u] = canonical_line(elements[ci].point, far_h), {ci}
+            vert[u] = canonical_line(elements[k + ci].point, far_v), {k + ci}
+    crossings = [(u, u) for u in g.vertices]
     for u, v in sorted(g.edges):
-        red_defs.append((intersect(horiz[u], vert[v]), u, v))
-        red_defs.append((intersect(horiz[v], vert[u]), v, u))
-
-    on_horiz: dict[int, set[int]] = {u: set() for u in g.vertices}
-    on_vert: dict[int, set[int]] = {u: set() for u in g.vertices}
-    coords = {el.point: el.eid for el in elements}
-    for pt, hu, vu in red_defs:
+        crossings += [(u, v), (v, u)]
+    for hu, vu in crossings:
+        pt = intersect(horiz[hu][0], vert[vu][0])
         if pt is None:
             raise GeometryAuditError("defining lines are parallel")
-        if pt in coords:
-            raise GeometryAuditError(f"red point collision at {pt}")
-        coords[pt] = eid
-        elements.append(Element(eid, RED, pt))
-        on_horiz[hu].add(eid)
-        on_vert[vu].add(eid)
-        eid += 1
-
-    family = []
-    line_eqs = []
-    sid = 0
-    for ci, cls in enumerate(g.classes, start=1):
-        for u in cls:
-            family.append((sid, frozenset({blue_eid[("h", ci)]} | on_horiz[u])))
-            line_eqs.append(horiz[u])
-            sid += 1
-    for ci, cls in enumerate(g.classes, start=1):
-        for u in cls:
-            family.append((sid, frozenset({blue_eid[("v", ci)]} | on_vert[u])))
-            line_eqs.append(vert[u])
-            sid += 1
-
-    # audit: recompute every incidence and compare against the construction
-    for (s, mem), eq in zip(family, line_eqs):
-        actual = {el.eid for el in elements if eq.contains(el.point)}
-        if actual != mem:
-            raise GeometryAuditError(
-                f"line {s} contains elements {sorted(actual)} but expected {sorted(mem)}"
-            )
-        reds = sum(1 for e in mem if elements[e].color == RED)
-        if reds != d + 1:
-            raise GeometryAuditError(f"line {s} carries {reds} red points, expected {d + 1}")
-
+        horiz[hu][1].add(len(elements))
+        vert[vu][1].add(len(elements))
+        elements.append(Element(len(elements), RED, pt))
+    lines = [*horiz.values(), *vert.values()]
+    family = tuple((sid, frozenset(mem)) for sid, (_, mem) in enumerate(lines))
     budget_red = max(0, 2 * (d + 1) * k - k * k)
-    return Instance(tuple(elements), tuple(family), 2 * k, budget_red, GEOMETRIC)
+    inst = Instance(tuple(elements), family, 2 * k, budget_red, GEOMETRIC)
+    violations = validate(inst).violations
+    if violations:
+        raise GeometryAuditError("; ".join(violations))
+    return inst
 
 
 def gen_mcc_setsystem(g: MulticoloredGraph) -> Instance:

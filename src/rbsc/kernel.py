@@ -12,7 +12,7 @@ at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import model
 from .errors import BoundedBudget, NotLinearSystem
@@ -247,26 +247,16 @@ def kernelize_kl_r(instance: Instance) -> KernelResult:
 
     After the deletion rules, sets consisting of exactly one (blue) element
     are redundant beyond one per blue point; all but the smallest-id one are
-    dropped.
+    dropped.  model.cleanup finds exactly these: the rules keep the input a
+    linear system, so two equal sets hold at most one element, and the sets
+    with no blue element, the empty ones among them, are already gone.
     """
     base = kernelize_kl_kr(instance)
     if base.is_no:
         return base
     inst, trace = base.instance, base.trace
-    keeper: dict[int, int] = {}
-    drop = []
-    for sid, split in inst.index.sets.items():
-        if len(inst.members(sid)) == 1 and split.blue:
-            (eid,) = split.blue
-            if eid in keeper:
-                drop.append(sid)
-            else:
-                keeper[eid] = sid
-    if drop:
-        entry = TraceEntry(
-            "dedupe_singletons",
-            removed_sets=tuple(drop),
-            note="one singleton set per blue element suffices",
-        )
-        inst = _apply(inst, entry, trace)
+    clean = model.cleanup(inst)
+    if clean is not None:
+        note = "one singleton set per blue element suffices"
+        inst = _apply(inst, replace(clean, rule="dedupe_singletons", note=note), trace)
     return KernelResult(inst, trace, base.forced)

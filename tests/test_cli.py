@@ -152,6 +152,14 @@ def test_auto_sends_non_linear_input_to_brute(tmp_path, capsys):
     assert "algo brute" in capsys.readouterr().out.splitlines()
 
 
+def test_auto_sends_non_linear_unbounded_input_past_rbsc_two_red(tmp_path, capsys):
+    # no set holds exactly one red, but all three share both reds: rbsc-two-red needs a linear system
+    inst = abstract_instance("BBBRR", [{0, 3, 4}, {1, 3, 4}, {2, 3, 4}], None, 2)
+    path = write_instance(tmp_path, inst)
+    assert cli.main(["solve", str(path), "--algo", "auto"]) == 0
+    assert "algo red-subsets" in capsys.readouterr().out.splitlines()
+
+
 def test_kernelize_command(tmp_path, capsys):
     inst = abstract_instance("BBBBB", [{0}, {1}, {2}, {3}, {4}], 2, 0)
     path = write_instance(tmp_path, inst)
