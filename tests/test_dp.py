@@ -1,6 +1,7 @@
 import time
 import tracemalloc
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,76 @@ def test_oracle_equivalence_and_witness_size(seed, kind):
     if sol is not None:
         assert len(sol.chosen) == best
         assert model.verify(inst, sol.chosen).feasible
+
+
+@st.composite
+def implied_blue_instances(draw):
+    """Random one-red-per-set families in which many blues are implied.
+
+    After drawing the sets, a few steps either copy blue i into every set
+    holding blue j (so each set holding j holds i) or give blue i exactly
+    blue j's sets (equal columns).
+    """
+    b = draw(st.integers(1, 7))
+    r = draw(st.integers(0, 3))
+    drawn = draw(
+        st.lists(
+            st.tuples(st.sets(st.integers(0, b - 1)), st.sampled_from([None, *range(b, b + r)])),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    members = [blues for blues, _ in drawn]
+    reds = [red for _, red in drawn]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, b - 1)), draw(st.integers(0, b - 1))
+        equal = draw(st.booleans())
+        for mem in members:
+            if j in mem:
+                mem.add(i)
+            elif equal:
+                mem.discard(i)
+    family = [mem | ({red} if red is not None else set()) for mem, red in zip(members, reds)]
+    return abstract_instance(
+        "B" * b + "R" * r, family, draw(st.integers(0, b)), draw(st.integers(0, r + 1))
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inst=implied_blue_instances())
+def test_implied_blues_match_brute_force(inst):
+    sol = dp.dp_solve(inst)
+    best = brute_min_family_size(inst)
+    assert (sol is None) == (best is None)
+    if sol is not None:
+        assert len(sol.chosen) == best
+        assert model.verify(inst, sol.chosen).feasible
+
+
+def test_small_families_exhaustively():
+    # Every family of at most 3 distinct nonempty sets over blues 0..2 and
+    # reds 3, 4, each set holding at most one red, at every line budget 0..3
+    # and red budget 0..2.  Equal and nested blue columns are common at this
+    # size.
+    sets = [
+        frozenset(blues) | red
+        for size in range(4)
+        for blues in combinations(range(3), size)
+        for red in (frozenset(), {3}, {4})
+    ][1:]
+    for count in range(4):
+        for family in combinations(sets, count):
+            for budget_red in range(3):
+                base = abstract_instance("BBBRR", family, None, budget_red)
+                best = brute_min_family_size(base)
+                for budget_lines in range(4):
+                    inst = replace(base, budget_lines=budget_lines)
+                    sol = dp.dp_solve(inst)
+                    expect = best if best is not None and best <= budget_lines else None
+                    assert (sol is None) == (expect is None)
+                    if sol is not None:
+                        assert len(sol.chosen) == expect
+                        assert model.verify(inst, sol.chosen).feasible
 
 
 def test_tied_covers_pick_smallest_set_red_and_submask():
