@@ -50,6 +50,17 @@ Setting the sentinel's bit before reading caps the result at the sentinel,
 which also covers an entry with no pair below the cut (0 modulo the cut).
 All of it is integer arithmetic.
 
+Before dp_solve fills a table it drops every implied blue: blue i is implied
+when some other blue j lies only in sets that hold i, since then covering j
+covers i (element domination for set cover; Weihe, "Covering trains by
+stations or the power of data reduction", ALEX 1998).  Of equal columns the
+smallest blue is kept.  The rule reads the whole family, so it holds in
+every table: a set holding j holds i, whichever reds it may pay for.  Each
+dropped blue has a kept blue below it, so a family covers every blue exactly
+when it covers the kept ones, and the tables run over the kept blues alone,
+numbered in order.  With no red budget, only the red-free table is filled,
+since no layer reads the others.
+
 Unreachable values use the sentinel (number of sets + 1), strictly above any
 real family size.  No argmin is stored: reconstruction recomputes each one
 from the tables, breaking ties toward the smallest set id, then the
@@ -87,13 +98,19 @@ def table_bytes(instance: Instance) -> int:
     """Estimated bytes of the two packed lists the layers keep alive.
 
     Each holds 2^b integers of (sentinel + 1) * W bits and a 28-byte header.
+    b counts every blue, before implied ones are dropped, so the estimate is
+    an upper bound and depends on the instance alone.
     """
     b = len(instance.index.blues)
     return 2 * (1 << b) * ((instance.num_sets + 2) * (3**b).bit_length() // 8 + 28)
 
 
 def fits(instance: Instance) -> bool:
-    """Whether the layer lists stay within MAX_TABLE_BYTES."""
+    """Whether the layer lists stay within MAX_TABLE_BYTES.
+
+    Judged on every blue, as table_bytes is, so auto's pick does not depend
+    on how many blues the reduction keeps.
+    """
     return table_bytes(instance) <= MAX_TABLE_BYTES
 
 
@@ -148,13 +165,42 @@ def _transform(a: list[int], op) -> None:
         half = step
 
 
-def _fill(instance: Instance, usable):
-    """Fill every table bottom-up.
+def _drop_implied_blues(instance: Instance, usable):
+    """Keep the blues that decide, and number them in order.
+
+    A blue is implied when some other blue's holders (the sets containing
+    it) are among its own; of equal columns the smallest blue is kept.
+    Returns the kept blue bits and every usable (set id, blue mask) pair
+    with its mask projected onto them.
+    """
+    holders = [0] * instance.num_blue
+    for k, split in enumerate(instance.index.sets.values()):
+        mask = split.blue_mask
+        while mask:
+            low = mask & -mask
+            holders[low.bit_length() - 1] |= 1 << k
+            mask ^= low
+    kept = [
+        i
+        for i, col in enumerate(holders)
+        if not any(h | col == col for h in holders[:i])
+        and not any(h | col == col != h for h in holders[i + 1 :])
+    ]
+    if len(kept) == len(holders):
+        return kept, usable
+    projected = {
+        sid: sum(1 << k for k, i in enumerate(kept) if split.blue_mask >> i & 1)
+        for sid, split in instance.index.sets.items()
+    }
+    return kept, {red: [(sid, projected[sid]) for sid, _ in sets] for red, sets in usable.items()}
+
+
+def _fill(instance: Instance, usable, b: int):
+    """Fill every table bottom-up over b blues.
 
     Returns per red the cover table w, the cheapest cover per mask over all
     reds v, and the layers t.
     """
-    b = len(instance.index.blues)
     size = 1 << b
     inf = instance.num_sets + 1
     w: dict[int | None, list[int]] = {}
@@ -198,21 +244,29 @@ def _fill(instance: Instance, usable):
 
 
 def compute_tables(instance: Instance) -> DpTables:
-    """Fill both tables bottom-up (mainly for inspection and property tests)."""
+    """Fill both tables over every blue, implied ones too (for inspection and tests)."""
     reds, usable = _usable(instance)
-    w, _, t = _fill(instance, usable)
+    w, _, t = _fill(instance, usable, instance.num_blue)
     flat = {(mask, red): value for red, table in w.items() for mask, value in enumerate(table)}
     return DpTables(instance.index.blues, reds, instance.num_sets + 1, flat, t)
 
 
 def dp_solve(instance: Instance) -> Solution | None:
-    """Decide the instance and reconstruct an optimal-cardinality witness."""
+    """Decide the instance and reconstruct an optimal-cardinality witness.
+
+    The tables run over the kept blues, so ties go to the smallest blue
+    submask in their numbering.
+    """
     _, usable = _usable(instance)
-    rest = (1 << instance.num_blue) - 1
+    full = (1 << instance.num_blue) - 1
     covered = reduce(or_, (split.blue_mask for split in instance.index.sets.values()), 0)
-    if rest and (instance.budget_lines == 0 or covered != rest):
+    if full and (instance.budget_lines == 0 or covered != full):
         return None  # no line to spend, or a blue in no set: no table needed
-    w, v, t = _fill(instance, usable)
+    if not instance.budget_red:
+        usable = {None: usable[None]}  # no layer reads a per-red table
+    kept, usable = _drop_implied_blues(instance, usable)
+    w, v, t = _fill(instance, usable, len(kept))
+    rest = (1 << len(kept)) - 1
     optimum = t[-1][rest]
     if optimum >= instance.num_sets + 1 or optimum > instance.budget_lines:
         return None

@@ -249,6 +249,68 @@ def test_tied_covers_pick_smallest_set_red_and_submask():
     assert sol is not None and sol.chosen == {0, 3}
 
 
+def _watch_fill(monkeypatch):
+    """Record the blue count and the red keys of every _fill call."""
+    calls = []
+    fill = dp._fill
+
+    def watched(instance, usable, b):
+        calls.append((b, list(usable)))
+        return fill(instance, usable, b)
+
+    monkeypatch.setattr(dp, "_fill", watched)
+    return calls
+
+
+def test_tables_run_over_the_blues_that_decide(monkeypatch):
+    # Every set holding blue 0 holds blues 1..15 too, so covering blue 0
+    # covers them all: the tables run over one blue.
+    rest = set(range(1, 16))
+    sets = [{0, *rest, 16}, {0, *rest, 17}, set(range(1, 9)), {9, 10, 11, 17}, rest]
+    calls = _watch_fill(monkeypatch)
+    for budget_lines in range(3):
+        for budget_red in range(3):
+            inst = abstract_instance("B" * 16 + "RR", sets, budget_lines, budget_red)
+            sol = dp.dp_solve(inst)
+            best = brute_min_family_size(inst)
+            assert (sol is None) == (best is None)
+            if sol is not None:
+                assert len(sol.chosen) == best and model.verify(inst, sol.chosen).feasible
+    assert calls and all(b == 1 for b, _ in calls)
+
+
+def test_no_red_budget_fills_only_the_red_free_table(monkeypatch):
+    calls = _watch_fill(monkeypatch)
+    inst = abstract_instance("BBBRR", [{0, 3}, {1, 4}, {0, 1}, {2}, {1, 2, 3}], 3, 0)
+    sol = dp.dp_solve(inst)
+    assert sol is not None and sol.chosen == {2, 3}
+    assert calls == [(3, [None])]
+    dp.dp_solve(replace(inst, budget_red=1))
+    assert calls[-1] == (3, [None, 3, 4])
+
+
+def test_equal_columns_keep_the_smaller_blue(monkeypatch):
+    # Blues 1 and 2 lie in the same sets; blue 0 lies in other ones.
+    inst = abstract_instance("BBBR", [{0}, {1, 2}, {0, 1, 2, 3}], 2, 0)
+    kept, usable = dp._drop_implied_blues(inst, {None: [(0, 0b001), (1, 0b110)]})
+    assert kept == [0, 1] and usable == {None: [(0, 0b01), (1, 0b10)]}
+    calls = _watch_fill(monkeypatch)
+    sol = dp.dp_solve(inst)
+    assert sol is not None and sol.chosen == {0, 1}
+    assert calls == [(2, [None])]
+
+
+def test_tie_break_numbers_only_the_kept_blues():
+    # Blue 1 is implied: its sets, 1 and 2, include set 2, the only holder
+    # of blue 2.  Within one red and two lines, {0, 2} and {1, 2} are
+    # optimal.  The layer gives blue 2 to set 2 (red 3), and the red-free
+    # rest is blue 0 alone, which set 0, the smallest holder, covers.
+    # Numbering every blue would leave blues 0 and 1, covered by set 1.
+    inst = abstract_instance("BBBR", [{0}, {0, 1}, {1, 2, 3}], 2, 1)
+    sol = dp.dp_solve(inst)
+    assert sol is not None and sol.chosen == {0, 2}
+
+
 def _reference_layers(instance):
     """The disjoint-submask layer loop over independently tabulated covers.
 
