@@ -264,6 +264,22 @@ def test_verify_command(tmp_path, capsys):
     assert cli.main(["verify", str(path), str(unknown)]) == 2
 
 
+@pytest.mark.parametrize(
+    "budget_lines, budget_red, chosen, reasons",
+    [
+        (2, 1, [0], "blue elements uncovered"),
+        (1, 1, [0, 1], "line budget exceeded"),
+        (0, 0, [0], "blue elements uncovered; red budget exceeded; line budget exceeded"),
+    ],
+)
+def test_verify_prints_each_shortfall(tmp_path, capsys, budget_lines, budget_red, chosen, reasons):
+    path = write_instance(tmp_path, abstract_instance("BRB", [{0, 1}, {2}], budget_lines, budget_red))
+    claim = tmp_path / "claim.solution"
+    claim.write_text("solution yes\n" + "".join(f"set {sid}\n" for sid in chosen))
+    assert cli.main(["verify", str(path), str(claim)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"feasible no ({reasons})"
+
+
 def test_bench_command(tmp_path, capsys):
     for seed in range(6):
         inst = generators.gen_random(41_000 + seed, generators.RandomProfile())

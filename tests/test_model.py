@@ -1,4 +1,5 @@
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -292,3 +293,10 @@ def test_index_skips_dangling_members_and_is_rebuilt_on_replace():
     reduced, _ = model.apply_trace_entry(inst, TraceEntry("drop", removed_elements=(1,)))
     assert reduced.index is not inst.index
     assert reduced.index.sets[0].red == frozenset() and not reduced.is_weighted()
+
+
+def test_readme_library_use_runs_as_written():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
