@@ -195,14 +195,7 @@ def cmd_verify(args) -> int:
     if sol.feasible:
         print("feasible yes")
         return 0
-    reasons = []
-    if sol.blue_covered != inst.num_blue:
-        reasons.append("blue elements uncovered")
-    if sol.red_covered > inst.budget_red:
-        reasons.append("red budget exceeded")
-    if inst.budget_lines is not None and len(sol.chosen) > inst.budget_lines:
-        reasons.append("line budget exceeded")
-    print("feasible no (" + "; ".join(reasons) + ")")
+    print("feasible no (" + "; ".join(sol.shortfalls) + ")")
     return 1
 
 
@@ -217,7 +210,7 @@ def _bench_one(path: Path, algo: str, force: bool) -> dict:
         if used in SEARCH_ALGOS:
             row["branches"] = str(stats.branches)
             row["tuples"] = str(stats.tuples)
-    except RbscError as exc:
+    except (RbscError, UnicodeDecodeError) as exc:
         row["decision"] = f"error:{type(exc).__name__}"
     return row
 

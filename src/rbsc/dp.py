@@ -255,7 +255,8 @@ def dp_solve(instance: Instance) -> Solution | None:
     """Decide the instance and reconstruct an optimal-cardinality witness.
 
     The tables run over the kept blues, so ties go to the smallest blue
-    submask in their numbering.
+    submask in their numbering.  The witness must have the optimum's size
+    and pass model.certify; either failure raises AssertionError.
     """
     _, usable = _usable(instance)
     full = (1 << instance.num_blue) - 1
@@ -293,7 +294,4 @@ def dp_solve(instance: Instance) -> Solution | None:
     cover(rest, None)
     if len(chosen) != optimum:
         raise AssertionError("witness size disagrees with the table optimum")
-    sol = model.verify(instance, chosen)
-    if not sol.feasible:
-        raise AssertionError("reconstructed family failed verification")
-    return sol
+    return model.certify(instance, chosen)

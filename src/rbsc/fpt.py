@@ -33,7 +33,8 @@ leaf runs the one-blue search on all of them.
 Searches are deterministic: the tree tries sets in ascending id order before
 marking, the one-blue search grows states blue by blue in id order and keeps
 the first state with the fewest reds per blue mask, and the partition keeps
-the first block of least total.
+the first block of least total.  Every solver here hands its YES family to
+model.certify, which re-verifies it against the original instance.
 """
 
 from __future__ import annotations
@@ -62,16 +63,16 @@ class SolveStats:
 
 
 def _solve_one_blue_core(
-    groups: list[list[tuple[int, int]]], budget_lines: int, budget_red: int, stats: SolveStats | None
+    groups: list[list[tuple[int, int]]], budget_red: int, stats: SolveStats | None
 ) -> list[int] | None:
     """One set per blue covering at most budget_red reds in all, or None.
 
     groups[i] lists (set id, red mask) of the sets holding the i-th blue, in
-    id order.
+    id order.  The family takes one set per blue, and _search's line bound
+    has cut every leaf whose marked blues exceed the lines left, so no line
+    budget is checked here.
     """
     b = len(groups)
-    if b > budget_lines:
-        return None
     # via[(blue mask, red mask)]: the state and the set that first reached it
     via: dict[tuple[int, int], tuple[tuple[int, int] | None, int]] = {}
     layer: list[tuple[int, int]] = []
@@ -143,13 +144,6 @@ def _require_finite_budget(instance: Instance):
         raise PreconditionViolated("a finite line budget is required")
 
 
-def _finish(instance: Instance, chosen, forced: frozenset[int]) -> Solution:
-    sol = model.verify(instance, chosen)
-    if not sol.feasible:
-        raise AssertionError("assembled family failed verification")
-    return Solution(sol.chosen, sol.blue_covered, sol.red_covered, True, forced)
-
-
 def _search(reduced: Instance, stats: SolveStats | None) -> list[int] | None:
     """The sets of a solution, or None: the multi-blue tree, then the one-blue search.
 
@@ -173,7 +167,7 @@ def _search(reduced: Instance, stats: SolveStats | None) -> list[int] | None:
     single: list[list[tuple[int, int]]] = [[] for _ in ix.blues]
     position = {eid: i for i, eid in enumerate(ix.blues)}
     widest = 1
-    for bit, (sid, split) in enumerate(sorted(ix.sets.items())):
+    for bit, (sid, split) in enumerate(ix.sets.items()):
         if len(split.blue) >= 2:
             widest = max(widest, len(split.blue))
             for eid in split.blue:
@@ -198,7 +192,7 @@ def _search(reduced: Instance, stats: SolveStats | None) -> list[int] | None:
                 for i in range(len(ix.blues))
                 if marked >> i & 1
             ]
-            return _solve_one_blue_core(groups, k_l - len(picked), k_r - red_mask.bit_count(), stats)
+            return _solve_one_blue_core(groups, k_r - red_mask.bit_count(), stats)
         low = open_mask & -open_mask
         for sid, bm, rm, own in by_blue[low.bit_length() - 1]:
             if own & banned:
@@ -236,9 +230,7 @@ def solve_one_blue_special(instance: Instance, *, stats: SolveStats | None = Non
                 f"set {sid} has {len(split.blue)} blue elements; exactly one is required"
             )
     fam = _search(instance, stats)
-    if fam is None:
-        return None
-    return _finish(instance, fam, frozenset())
+    return None if fam is None else model.certify(instance, fam)
 
 
 def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solution | None:
@@ -254,9 +246,7 @@ def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solut
     if result.is_no:
         return None
     fam = _search(result.instance, stats)
-    if fam is None:
-        return None
-    return _finish(instance, result.forced | set(fam), result.forced)
+    return None if fam is None else model.certify(instance, result.forced | set(fam))
 
 
 def solve_bounded_red(
@@ -276,9 +266,7 @@ def solve_bounded_red(
             raise DegreeExceeded(f"set {sid} has {len(split.red)} red elements, more than d={d}")
     capped = min(instance.budget_red, d * instance.budget_lines)
     sol = solve_kl_kr(replace(instance, budget_red=capped), stats=stats)
-    if sol is None:
-        return None
-    return _finish(instance, sol.chosen, sol.forced)
+    return None if sol is None else model.certify(instance, sol.chosen)
 
 
 def solve_two_blue_special(
@@ -328,7 +316,5 @@ def solve_rbsc_kr_two_red(
     )
     bounded = replace(inst, budget_lines=comb(inst.budget_red, 2))
     sub = solve_kl_kr(bounded, stats=stats)
-    if sub is None:
-        return None
-    return _finish(instance, frozenset(forced) | sub.chosen, frozenset(forced) | sub.forced)
+    return None if sub is None else model.certify(instance, forced | sub.chosen)
 

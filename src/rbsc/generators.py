@@ -379,6 +379,10 @@ def gen_mcc_setsystem(g: MulticoloredGraph) -> Instance:
 # random instances
 
 
+# Random coordinates lie on the grid 0..COORD_RANGE in steps of 1/2.
+COORD_RANGE = 6
+
+
 @dataclass(frozen=True)
 class RandomProfile:
     """Shape bounds and structural filters for gen_random."""
@@ -388,7 +392,6 @@ class RandomProfile:
     max_points: int = 10
     min_sets: int = 1
     max_sets: int = 12
-    coord_range: int = 6
     max_budget_lines: int = 4
     max_budget_red: int = 5
     unbounded_lines: bool = False
@@ -423,11 +426,11 @@ def _random_color(rng: random.Random, profile: RandomProfile) -> str:
     return BLUE if rng.randrange(den) < num else RED
 
 
-def _random_coordinate(rng: random.Random, profile: RandomProfile) -> Fraction:
+def _random_coordinate(rng: random.Random) -> Fraction:
     # mostly a small integer grid (rich in collinear triples), sometimes halves
     if rng.randrange(4) == 0:
-        return Fraction(rng.randint(0, 2 * profile.coord_range), 2)
-    return Fraction(rng.randint(0, profile.coord_range))
+        return Fraction(rng.randint(0, 2 * COORD_RANGE), 2)
+    return Fraction(rng.randint(0, COORD_RANGE))
 
 
 def _random_geometric(rng: random.Random, profile: RandomProfile) -> Instance | None:
@@ -435,7 +438,7 @@ def _random_geometric(rng: random.Random, profile: RandomProfile) -> Instance | 
     pts: list[tuple[Fraction, Fraction]] = []
     seen = set()
     for _ in range(40 * n):
-        p = (_random_coordinate(rng, profile), _random_coordinate(rng, profile))
+        p = (_random_coordinate(rng), _random_coordinate(rng))
         if p not in seen:
             seen.add(p)
             pts.append(p)

@@ -200,7 +200,7 @@ class Solution:
     blue_covered: int
     red_covered: int
     feasible: bool
-    forced: frozenset[int] = frozenset()
+    shortfalls: tuple[str, ...] = ()  # the conditions verify finds unmet, in its order
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,8 @@ def verify(instance: Instance, chosen) -> Solution:
     """Recompute coverage statistics of a chosen subfamily from scratch.
 
     Red elements are counted (weight-summed) once each no matter how many
-    chosen sets cover them.
+    chosen sets cover them.  The family is feasible when it has no
+    shortfall: it covers every blue, within the red and the line budget.
     """
     chosen = frozenset(chosen)
     splits = instance.index.sets
@@ -306,12 +307,22 @@ def verify(instance: Instance, chosen) -> Solution:
         red |= splits[sid].red
     blue_covered = len(blue)
     red_covered = sum(instance.red_weight(e) for e in red)
-    feasible = (
-        blue_covered == instance.num_blue
-        and red_covered <= instance.budget_red
-        and (instance.budget_lines is None or len(chosen) <= instance.budget_lines)
-    )
-    return Solution(chosen, blue_covered, red_covered, feasible)
+    shortfalls = []
+    if blue_covered != instance.num_blue:
+        shortfalls.append("blue elements uncovered")
+    if red_covered > instance.budget_red:
+        shortfalls.append("red budget exceeded")
+    if instance.budget_lines is not None and len(chosen) > instance.budget_lines:
+        shortfalls.append("line budget exceeded")
+    return Solution(chosen, blue_covered, red_covered, not shortfalls, tuple(shortfalls))
+
+
+def certify(instance: Instance, chosen) -> Solution:
+    """verify's Solution for a solver's YES family; AssertionError if it is infeasible."""
+    sol = verify(instance, chosen)
+    if not sol.feasible:
+        raise AssertionError("solver's family fails verification")
+    return sol
 
 
 # ---------------------------------------------------------------------------

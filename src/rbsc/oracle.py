@@ -19,7 +19,7 @@ def _bit_tables(instance: Instance):
     ix = instance.index
     weights = [instance.red_weight(eid) for eid in ix.reds]
     sets = [(sid, split.blue_mask, split.red_mask) for sid, split in ix.sets.items()]
-    return ix.blues, ix.reds, weights, sets
+    return ix.blues, weights, sets
 
 
 def _red_score(mask: int, weights: list[int]) -> int:
@@ -40,7 +40,7 @@ def brute_force_solve(instance: Instance, *, force: bool = False) -> Solution | 
     ell = instance.num_sets
     if ell > SUBSET_GUARD and not force:
         raise TooLarge(f"{ell} sets exceeds the brute-force guard of {SUBSET_GUARD}")
-    blues, reds, weights, sets = _bit_tables(instance)
+    blues, weights, sets = _bit_tables(instance)
     full = (1 << len(blues)) - 1
     k_r = instance.budget_red
     max_size = ell if instance.budget_lines is None else min(instance.budget_lines, ell)
@@ -76,7 +76,7 @@ def solve_rbsc_by_red_subsets(instance: Instance, *, force: bool = False) -> Sol
     r = instance.num_red
     if r > SUBSET_GUARD and not force:
         raise TooLarge(f"{r} red elements exceeds the guard of {SUBSET_GUARD}")
-    blues, reds, weights, sets = _bit_tables(instance)
+    blues, weights, sets = _bit_tables(instance)
     full = (1 << len(blues)) - 1
     for size in range(min(instance.budget_red, r) + 1):
         for picked in combinations(range(r), size):

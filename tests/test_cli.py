@@ -300,6 +300,17 @@ def test_bench_command(tmp_path, capsys):
     assert strip(csv_path) == strip(again)
 
 
+def test_bench_records_an_undecodable_file_and_goes_on(tmp_path, capsys):
+    write_instance(tmp_path, tiny_yes(), "good.rbsc")
+    (tmp_path / "latin1.rbsc").write_bytes("rbsc 1\n# caf\xe9\n".encode("latin-1"))
+    csv_path = tmp_path / "bench.csv"
+    assert cli.main(["bench", str(tmp_path), "--algos", "auto", "--csv", str(csv_path)]) == 0
+    assert "instances 2 runs 2 errors 1" in capsys.readouterr().out
+    with open(csv_path) as fh:
+        decisions = {row["instance"]: row["decision"] for row in csv.DictReader(fh)}
+    assert decisions == {"good.rbsc": "yes", "latin1.rbsc": "error:UnicodeDecodeError"}
+
+
 def test_bench_rejects_empty_algorithm_list(tmp_path, capsys):
     write_instance(tmp_path, tiny_yes())
     csv_path = tmp_path / "empty.csv"
