@@ -84,6 +84,14 @@ def test_verify_counts_red_once_and_sums_weights():
     assert sol.red_covered == 5 and sol.feasible
 
 
+def test_certify_returns_verify_or_raises():
+    inst = tiny_two_line_instance()
+    assert model.certify(inst, [0, 1]) == verify(inst, {0, 1})
+    assert verify(inst, {0}).shortfalls == ("blue elements uncovered",)
+    with pytest.raises(AssertionError, match="fails verification"):
+        model.certify(inst, {0})
+
+
 def test_weight_on_blue_rejected():
     with pytest.raises(ValueError):
         Element(0, BLUE, None, 2)
