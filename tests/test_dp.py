@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import abstract_instance, brute_min_family_size
 from rbsc import cli, dp, generators, model, oracle
-from rbsc.errors import PreconditionViolated, RedDegreeExceeded, TooManyBlues
+from rbsc.errors import PreconditionViolated, RbscError, RedDegreeExceeded, TooManyBlues
 from rbsc.model import ABSTRACT, BLUE, RED, Element, Instance
 
 
@@ -427,3 +428,77 @@ def test_guard_refuses_just_over_the_limit_without_allocating():
     assert elapsed < 0.5 and peak < 1 << 20
     assert str(dp.table_bytes(over)) in str(refused.value)
     assert str(dp.MAX_TABLE_BYTES) in str(refused.value)
+
+
+PINNED_PROFILES = {
+    "default": cli.PROFILES["default"],  # many sets hold two reds: errors
+    "max-one-red": cli.PROFILES["max-one-red"],
+    "wide": generators.RandomProfile(
+        structure="max-one-red", mode=ABSTRACT, linear=False, min_points=13, max_points=19,
+        min_sets=16, max_sets=24, max_budget_lines=8, max_budget_red=5, blue_chance=(2, 3),
+    ),
+}
+
+
+def _outcome(inst) -> str:
+    try:
+        sol = dp.dp_solve(inst)
+    except RbscError as exc:
+        return f"error {type(exc).__name__}: {exc}"
+    return "no" if sol is None else "yes " + " ".join(map(str, sorted(sol.chosen)))
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("default", "de68662afc8097319b8852b8c6e49aba3b07facc6aed7d0fe8225d558a3e2f05"),
+        ("max-one-red", "f7192eda6ab3055a89a819578d7c5bb62c8a30fd4c4e970371f38b1a29761c7b"),
+        ("wide", "0b3a344a3be46d846958bd25fb8ae5011f6bf7e6fefc04b83fe7db99ba75c251"),
+    ],
+)
+def test_decisions_witnesses_and_errors_are_pinned(name, digest):
+    # One line per seed: the decision with the sorted witness, or the error
+    # type and text.  Any change to what dp_solve returns changes the digest.
+    lines = "".join(
+        _outcome(generators.gen_random(seed, PINNED_PROFILES[name])) + "\n" for seed in range(300)
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
+
+@st.composite
+def apart_blue_instances(draw):
+    """Families with k blues no two of which share a set, plus extra sets.
+
+    Blues 0..k-1 are the apart ones; each has one or two sets of its own,
+    which may also hold extra blues and a red.  Some apart blues lie only
+    in sets with a red.  Further sets hold extra blues alone.  The line
+    budget is k - 1, k or k + 1, so the packing count of k decides or
+    nearly decides the instance.
+    """
+    k = draw(st.integers(1, 4))
+    extra = list(range(k, k + draw(st.integers(0, 3))))
+    reds = list(range(k + len(extra), k + len(extra) + draw(st.integers(0, 2))))
+    some_extra = st.sets(st.sampled_from(extra)) if extra else st.just(set())
+    sets = []
+    for blue in range(k):
+        only_red = bool(reds) and draw(st.booleans())
+        for _ in range(draw(st.integers(1, 2))):
+            red = draw(st.sampled_from(reds if only_red else [None, *reds]))
+            sets.append({blue, *draw(some_extra)} | ({red} - {None}))
+    for _ in range(draw(st.integers(0, 3)) if extra else 0):
+        red = draw(st.sampled_from([None, *reds]))
+        sets.append(draw(st.sets(st.sampled_from(extra), min_size=1)) | ({red} - {None}))
+    colors = "B" * (k + len(extra)) + "R" * len(reds)
+    budget_lines = k + draw(st.integers(-1, 1))
+    return abstract_instance(colors, sets, budget_lines, draw(st.integers(0, 2)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inst=apart_blue_instances())
+def test_apart_blues_match_brute_force(inst):
+    sol = dp.dp_solve(inst)
+    best = brute_min_family_size(inst)
+    assert (sol is None) == (best is None)
+    if sol is not None:
+        assert len(sol.chosen) == best
+        assert model.verify(inst, sol.chosen).feasible
