@@ -50,6 +50,17 @@ Setting the sentinel's bit before reading caps the result at the sentinel,
 which also covers an entry with no pair below the cut (0 modulo the cut).
 All of it is integer arithmetic.
 
+Before any table, dp_solve looks at the sets usable at its red budget:
+every set when the budget is at least 1, the red-free sets alone when it is
+0, since a set holding a red then joins no feasible family.  It answers NO
+when a blue lies in none of them, or when a greedy pass finds more blues
+than the line budget that pairwise share no usable set (any one blue, when
+no line is left).  This is the disjoint-elements lower bound for set cover:
+by weak duality, a packing of elements bounds every cover from below.  No
+usable set holds two of the packed blues, so every feasible family spends
+one set on each, and a NO from the bound is a NO of the tables.  The bound
+never answers YES; those instances go on to the tables.
+
 Before dp_solve fills a table it drops every implied blue: blue i is implied
 when some other blue j lies only in sets that hold i, since then covering j
 covers i (element domination for set cover; Weihe, "Covering trains by
@@ -195,6 +206,27 @@ def _drop_implied_blues(instance: Instance, usable):
     return kept, {red: [(sid, projected[sid]) for sid, _ in sets] for red, sets in usable.items()}
 
 
+def _packing(masks, b: int) -> int:
+    """How many of the b blues a greedy pass finds that pairwise share no set.
+
+    masks are the blue masks of the usable sets.  A blue's neighbourhood is
+    the union of the sets holding it.  Blues are visited by neighbourhood
+    size, then by index, and taken when no blue taken so far lies in it.
+    """
+    near = [0] * b
+    for bm in masks:
+        mask = bm
+        while mask:
+            low = mask & -mask
+            near[low.bit_length() - 1] |= bm
+            mask ^= low
+    taken = 0
+    for i in sorted(range(b), key=lambda i: near[i].bit_count()):
+        if not near[i] & taken:
+            taken |= 1 << i
+    return taken.bit_count()
+
+
 def _fill(instance: Instance, usable, b: int):
     """Fill every table bottom-up over b blues.
 
@@ -259,12 +291,14 @@ def dp_solve(instance: Instance) -> Solution | None:
     and pass model.certify; either failure raises AssertionError.
     """
     _, usable = _usable(instance)
-    full = (1 << instance.num_blue) - 1
-    covered = reduce(or_, (split.blue_mask for split in instance.index.sets.values()), 0)
-    if full and (instance.budget_lines == 0 or covered != full):
-        return None  # no line to spend, or a blue in no set: no table needed
     if not instance.budget_red:
-        usable = {None: usable[None]}  # no layer reads a per-red table
+        usable = {None: usable[None]}  # the red-free sets alone; no layer reads the others
+    masks = {bm for sets in usable.values() for _, bm in sets}
+    full = (1 << instance.num_blue) - 1
+    if full and (
+        reduce(or_, masks, 0) != full or _packing(masks, instance.num_blue) > instance.budget_lines
+    ):
+        return None  # a blue in no usable set, or more blues pairwise apart than lines
     kept, usable = _drop_implied_blues(instance, usable)
     w, v, t = _fill(instance, usable, len(kept))
     rest = (1 << len(kept)) - 1

@@ -502,3 +502,41 @@ def test_apart_blues_match_brute_force(inst):
     if sol is not None:
         assert len(sol.chosen) == best
         assert model.verify(inst, sol.chosen).feasible
+
+
+def _no_table(*args):
+    raise AssertionError("a table was built")
+
+
+def test_more_blues_pairwise_apart_than_lines_fill_no_table(monkeypatch):
+    # Blues 0..k-1 share no set with each other; blue k lies in all k sets,
+    # one of which holds red k + 1.  k lines cover them, k - 1 cannot.
+    k = 5
+    sets = [{i, k} for i in range(k)]
+    sets[0].add(k + 1)
+    inst = abstract_instance("B" * (k + 1) + "R", sets, k, 1)
+    calls = _watch_fill(monkeypatch)
+    sol = dp.dp_solve(inst)
+    assert sol is not None and sol.chosen == set(range(k)) and calls
+    monkeypatch.setattr(dp, "_fill", _no_table)
+    assert dp.dp_solve(replace(inst, budget_lines=k - 1)) is None
+
+
+def test_no_red_budget_counts_only_red_free_sets(monkeypatch):
+    # Blue 0 lies only in set 0, which holds red 2.
+    inst = abstract_instance("BBR", [{0, 2}, {1}, {1, 2}], 5, 1)
+    calls = _watch_fill(monkeypatch)
+    sol = dp.dp_solve(inst)
+    assert sol is not None and sol.chosen == {0, 1} and calls
+    monkeypatch.setattr(dp, "_fill", _no_table)
+    assert dp.dp_solve(replace(inst, budget_red=0)) is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(inst=st.one_of(implied_blue_instances(), apart_blue_instances()))
+def test_packing_never_exceeds_the_smallest_cover(inst):
+    # Only the sets usable at the red budget count, as in dp_solve.
+    masks = [split.blue_mask for split in inst.index.sets.values() if inst.budget_red or not split.red]
+    best = brute_min_family_size(replace(inst, budget_lines=None))
+    if best is not None:
+        assert dp._packing(masks, inst.num_blue) <= best
