@@ -231,6 +231,39 @@ def test_generate_mcc_lines_from_graph_file(tmp_path, capsys):
     assert inst.num_blue == 6
 
 
+def _complete_multipartite(classes, size):
+    groups = [tuple(range(c * size + 1, (c + 1) * size + 1)) for c in range(classes)]
+    edges = frozenset(
+        (u, v) for i, us in enumerate(groups) for vs in groups[i + 1 :] for u in us for v in vs
+    )
+    return generators.MulticoloredGraph(tuple(groups), edges)
+
+
+@pytest.mark.parametrize("kind", ["setcover", "setcover-uniqred", "mcc-lines", "mcc-sets", "random"])
+def test_generate_validates_its_output_once(tmp_path, monkeypatch, kind):
+    # gen_mcc_lines validates through its own import of validate.
+    calls = []
+    validate = model.validate
+
+    def counted(inst):
+        calls.append(inst)
+        return validate(inst)
+
+    monkeypatch.setattr(model, "validate", counted)
+    monkeypatch.setattr(generators, "validate", counted)
+    sc = tmp_path / "cover.setcover"
+    sc.write_text(generators.serialize_setcover(
+        generators.SetCoverInstance(3, (frozenset({1, 2}), frozenset({3})), 2)
+    ))
+    graph = tmp_path / "k222.mcgraph"
+    graph.write_text(generators.serialize_mcgraph(_complete_multipartite(3, 2)))
+    source = {"setcover": ["--input", str(sc)], "setcover-uniqred": ["--input", str(sc)],
+              "mcc-lines": ["--graph", str(graph)], "mcc-sets": ["--graph", str(graph)]}
+    argv = ["generate", kind, *source.get(kind, []), "--out", str(tmp_path / "out.rbsc")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+
 def test_generate_setcover_from_file(tmp_path):
     sc = generators.SetCoverInstance(3, (frozenset({1, 2}), frozenset({3})), 2)
     spath = tmp_path / "cover.setcover"
@@ -309,6 +342,17 @@ def test_bench_records_an_undecodable_file_and_goes_on(tmp_path, capsys):
     with open(csv_path) as fh:
         decisions = {row["instance"]: row["decision"] for row in csv.DictReader(fh)}
     assert decisions == {"good.rbsc": "yes", "latin1.rbsc": "error:UnicodeDecodeError"}
+
+
+def test_bench_records_an_unreadable_file_and_goes_on(tmp_path, capsys):
+    write_instance(tmp_path, tiny_yes(), "good.rbsc")
+    (tmp_path / "x.rbsc").mkdir()
+    csv_path = tmp_path / "bench.csv"
+    assert cli.main(["bench", str(tmp_path), "--algos", "auto", "--csv", str(csv_path)]) == 0
+    assert "instances 2 runs 2 errors 1" in capsys.readouterr().out
+    with open(csv_path) as fh:
+        decisions = {row["instance"]: row["decision"] for row in csv.DictReader(fh)}
+    assert decisions == {"good.rbsc": "yes", "x.rbsc": "error:IsADirectoryError"}
 
 
 def test_bench_rejects_empty_algorithm_list(tmp_path, capsys):
