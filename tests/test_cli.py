@@ -252,14 +252,18 @@ def test_generate_validates_its_output_once(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(model, "validate", counted)
     monkeypatch.setattr(generators, "validate", counted)
     sc = tmp_path / "cover.setcover"
-    sc.write_text(generators.serialize_setcover(
-        generators.SetCoverInstance(3, (frozenset({1, 2}), frozenset({3})), 2)
-    ))
+    cover = generators.SetCoverInstance(3, (frozenset({1, 2}), frozenset({3})), 2)
+    sc.write_text(generators.serialize_setcover(cover))
     graph = tmp_path / "k222.mcgraph"
     graph.write_text(generators.serialize_mcgraph(_complete_multipartite(3, 2)))
-    source = {"setcover": ["--input", str(sc)], "setcover-uniqred": ["--input", str(sc)],
-              "mcc-lines": ["--graph", str(graph)], "mcc-sets": ["--graph", str(graph)]}
-    argv = ["generate", kind, *source.get(kind, []), "--out", str(tmp_path / "out.rbsc")]
+    source = {
+        "setcover": ["--input", str(sc)],
+        "setcover-uniqred": ["--input", str(sc)],
+        "mcc-lines": ["--graph", str(graph)],
+        "mcc-sets": ["--graph", str(graph)],
+        "random": [],
+    }
+    argv = ["generate", kind, *source[kind], "--out", str(tmp_path / "out.rbsc")]
     assert cli.main(argv) == 0
     assert len(calls) == 1
 

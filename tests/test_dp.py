@@ -536,7 +536,8 @@ def test_no_red_budget_counts_only_red_free_sets(monkeypatch):
 @given(inst=st.one_of(implied_blue_instances(), apart_blue_instances()))
 def test_packing_never_exceeds_the_smallest_cover(inst):
     # Only the sets usable at the red budget count, as in dp_solve.
-    masks = [split.blue_mask for split in inst.index.sets.values() if inst.budget_red or not split.red]
+    sets = inst.index.sets.values()
+    masks = [split.blue_mask for split in sets if inst.budget_red or not split.red]
     best = brute_min_family_size(replace(inst, budget_lines=None))
     if best is not None:
         assert dp._packing(masks, inst.num_blue) <= best
