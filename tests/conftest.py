@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from itertools import combinations
 
 from rbsc.geometry import PlanePoint
@@ -16,6 +18,15 @@ def abstract_instance(colors, sets, budget_lines, budget_red, weights=None):
     )
     family = tuple((sid, frozenset(mem)) for sid, mem in enumerate(sets))
     return Instance(elements, family, budget_lines, budget_red, ABSTRACT)
+
+
+def with_random_weights(instance, seed):
+    """instance with each red's weight drawn from 1..3 by a seeded rng."""
+    rng = random.Random(seed)
+    elements = tuple(
+        replace(e, weight=rng.randint(1, 3)) if e.color == RED else e for e in instance.elements
+    )
+    return replace(instance, elements=elements)
 
 
 def geometric_instance(points, sets, budget_lines, budget_red):

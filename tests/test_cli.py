@@ -1,8 +1,13 @@
 import csv
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import abstract_instance
+from conftest import abstract_instance, with_random_weights
 from rbsc import cli, generators, model
 
 
@@ -158,6 +163,29 @@ def test_auto_sends_non_linear_unbounded_input_past_rbsc_two_red(tmp_path, capsy
     path = write_instance(tmp_path, inst)
     assert cli.main(["solve", str(path), "--algo", "auto"]) == 0
     assert "algo red-subsets" in capsys.readouterr().out.splitlines()
+
+
+def test_solve_output_is_pinned(tmp_path, capsys):
+    """Exit code, stdout without time_ms, stderr and solution file of every algorithm, hashed."""
+    cases = [
+        generators.gen_random(seed, profile)
+        for _, profile in sorted(cli.PROFILES.items())
+        for seed in range(4)
+    ]
+    cases += [with_random_weights(cases[4 * i], i) for i in range(2)]
+    records = []
+    for i, inst in enumerate(cases):
+        path = write_instance(tmp_path, inst, f"pin{i}.rbsc")
+        for algo in cli.ALGOS:
+            out = tmp_path / f"pin{i}.{algo}.solution"
+            rc = cli.main(["solve", str(path), "--algo", algo, "--out", str(out)])
+            captured = capsys.readouterr()
+            stdout = [line for line in captured.out.splitlines() if not line.startswith("time_ms ")]
+            solution = out.read_text() if out.exists() else "(none)"
+            text = "\n".join((str(rc), *stdout, captured.err, solution))
+            records.append(text.replace(str(tmp_path), "<dir>"))
+    digest = hashlib.sha256("\n==\n".join(records).encode()).hexdigest()
+    assert digest == "29ad38692a449324e505b92bc75262a4d221b6468b5e48cfef22bdf21f3d60f7"
 
 
 def test_kernelize_command(tmp_path, capsys):
@@ -365,3 +393,19 @@ def test_bench_rejects_empty_algorithm_list(tmp_path, capsys):
     assert cli.main(["bench", str(tmp_path), "--algos", ",", "--csv", str(csv_path)]) == 2
     assert capsys.readouterr().err == "error: no algorithms given\n"
     assert not csv_path.exists()
+
+
+def test_module_entry_point_round_trip(tmp_path):
+    """python -m rbsc.cli generates, solves and verifies a YES and a NO, and exits 2 on a missing file."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def rbsc(*args) -> int:
+        argv = [sys.executable, "-m", "rbsc.cli", *map(str, args)]
+        return subprocess.run(argv, env=env, capture_output=True).returncode
+
+    for seed, code in ((2, 0), (4, 1)):
+        inst, sol = tmp_path / f"r{seed}.rbsc", tmp_path / f"r{seed}.solution"
+        assert rbsc("generate", "random", "--seed", seed, "--out", inst) == 0
+        assert rbsc("solve", inst, "--out", sol) == code
+        assert rbsc("verify", inst, sol) == code
+    assert rbsc("solve", tmp_path / "missing.rbsc") == 2

@@ -1,10 +1,12 @@
+import hashlib
+import random
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from conftest import abstract_instance, geometric_instance
-from rbsc import generators, kernel, model
+from conftest import abstract_instance, geometric_instance, with_random_weights
+from rbsc import cli, generators, kernel, model
 from rbsc.errors import ParseError, SemanticError, UnknownSetId
 from rbsc.geometry import PlanePoint
 from rbsc.model import (
@@ -90,6 +92,29 @@ def test_certify_returns_verify_or_raises():
     assert verify(inst, {0}).shortfalls == ("blue elements uncovered",)
     with pytest.raises(AssertionError, match="fails verification"):
         model.certify(inst, {0})
+
+
+def test_verify_is_pinned():
+    """verify's numbers on three seeded subfamilies per instance, weighted too, and an unknown id."""
+    records = []
+    for name, profile in sorted(cli.PROFILES.items()):
+        for seed in range(100):
+            inst = generators.gen_random(seed, profile)
+            rng = random.Random(seed)
+            for variant in (inst, with_random_weights(inst, seed)):
+                for _ in range(3):
+                    chosen = [sid for sid in variant.set_ids if rng.random() < 0.4]
+                    sol = verify(variant, chosen)
+                    records.append(
+                        f"{name} {seed} {sorted(sol.chosen)} {sol.blue_covered} "
+                        f"{sol.red_covered} {sol.feasible} {sol.shortfalls}"
+                    )
+                unknown = max(variant.set_ids, default=-1) + 1
+                with pytest.raises(UnknownSetId) as err:
+                    verify(variant, [*variant.set_ids[:1], unknown])
+                records.append(f"{name} {seed} {err.value}")
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "f00df50da29890a7295508117d2c425d7f4f8429b956da5e115476b23c0b4d41"
 
 
 def test_weight_on_blue_rejected():

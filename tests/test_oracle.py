@@ -1,10 +1,11 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
 
-from conftest import abstract_instance, geometric_instance
-from rbsc import generators, model, oracle
-from rbsc.errors import BoundedBudget, TooLarge
+from conftest import abstract_instance, geometric_instance, with_random_weights
+from rbsc import cli, generators, model, oracle
+from rbsc.errors import BoundedBudget, RbscError, TooLarge
 from rbsc.model import ABSTRACT, BLUE, RED, Element, Instance
 
 
@@ -87,3 +88,26 @@ def test_oracles_agree_on_unbounded_instances():
             assert (a is None) == (b is None)
             if b is not None:
                 assert model.verify(inst, b.chosen).feasible
+
+
+def _outcome(solver, inst) -> str:
+    try:
+        sol = solver(inst)
+    except RbscError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if sol is None:
+        return "no"
+    return f"yes {sorted(sol.chosen)} {sol.blue_covered} {sol.red_covered} {sol.feasible} {sol.shortfalls}"
+
+
+def test_oracle_outcomes_are_pinned():
+    """Decision, witness, Solution numbers or error of both oracles on every profile, hashed."""
+    records = []
+    for name, profile in sorted(cli.PROFILES.items()):
+        for seed in range(200):
+            inst = generators.gen_random(seed, profile)
+            for variant in (inst, with_random_weights(inst, seed)):
+                for solver in (oracle.brute_force_solve, oracle.solve_rbsc_by_red_subsets):
+                    records.append(f"{name} {seed} {_outcome(solver, variant)}")
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "54d1e27df8cb134e915ae5512aabadad274a2cf14a32aea436e25079bca98767"
