@@ -17,9 +17,20 @@ from pathlib import Path
 from . import dp, fpt, generators, kernel, model, oracle
 from .errors import RbscError
 
-ALGOS = ("auto", "fpt", "brute", "dp", "red-subsets", "two-blue", "rbsc-two-red")
-# The algorithms that run fpt's search and fill its SolveStats counters.
-SEARCH_ALGOS = ("fpt", "two-blue", "rbsc-two-red")
+# name -> (call on (instance, force, stats), whether it runs fpt's search and
+# fills stats).  Each call looks its solver up on the module when it runs.
+SOLVERS = {
+    "fpt": (lambda inst, force, stats: fpt.solve_kl_kr(inst, stats=stats), True),
+    "brute": (lambda inst, force, stats: oracle.brute_force_solve(inst, force=force), False),
+    "dp": (lambda inst, force, stats: dp.dp_solve(inst), False),
+    "red-subsets": (
+        lambda inst, force, stats: oracle.solve_rbsc_by_red_subsets(inst, force=force),
+        False,
+    ),
+    "two-blue": (lambda inst, force, stats: fpt.solve_two_blue_special(inst, stats=stats), True),
+    "rbsc-two-red": (lambda inst, force, stats: fpt.solve_rbsc_kr_two_red(inst, stats=stats), True),
+}
+ALGOS = ("auto", *SOLVERS)
 
 PROFILES = {
     "default": generators.RandomProfile(),
@@ -62,23 +73,15 @@ def _pick_auto(inst: model.Instance, force: bool) -> str:
 
 
 def _run_algo(name: str, inst: model.Instance, force: bool):
-    """Returns (solution, algorithm actually used, stats)."""
-    stats = fpt.SolveStats()
+    """(solution, algorithm used, SolveStats or None if it ran no search, milliseconds)."""
+    start = time.perf_counter()
     if name == "auto":
         name = _pick_auto(inst, force)
-    if name == "brute":
-        return oracle.brute_force_solve(inst, force=force), name, stats
-    if name == "red-subsets":
-        return oracle.solve_rbsc_by_red_subsets(inst, force=force), name, stats
-    if name == "dp":
-        return dp.dp_solve(inst), name, stats
-    if name == "fpt":
-        return fpt.solve_kl_kr(inst, stats=stats), name, stats
-    if name == "two-blue":
-        return fpt.solve_two_blue_special(inst, stats=stats), name, stats
-    if name == "rbsc-two-red":
-        return fpt.solve_rbsc_kr_two_red(inst, stats=stats), name, stats
-    raise ValueError(f"unknown algorithm {name!r}")
+    solve, searches = SOLVERS[name]
+    stats = fpt.SolveStats()
+    sol = solve(inst, force, stats)
+    millis = (time.perf_counter() - start) * 1000.0
+    return sol, name, stats if searches else None, millis
 
 
 def _fmt_budget(b) -> str:
@@ -87,16 +90,14 @@ def _fmt_budget(b) -> str:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.file)
-    start = time.perf_counter()
-    sol, used, stats = _run_algo(args.algo, inst, args.force)
-    millis = (time.perf_counter() - start) * 1000.0
+    sol, used, stats, millis = _run_algo(args.algo, inst, args.force)
     out = Path(args.out or args.file + ".solution")
     _write_atomic(out, model.serialize_solution(sol))
     print(f"decision {'yes' if sol else 'no'}")
     print(f"algo {used}")
     print(f"budget_lines {_fmt_budget(inst.budget_lines)}")
     print(f"budget_red {inst.budget_red}")
-    if used in SEARCH_ALGOS:
+    if stats is not None:
         print(f"branches {stats.branches}")
         print(f"pruned {stats.pruned}")
         print(f"tuples {stats.tuples}")
@@ -204,11 +205,10 @@ def _bench_one(path: Path, algo: str, force: bool) -> dict:
     row = {"instance": path.name, "algo": algo, "decision": "", "millis": "", "branches": "", "tuples": ""}
     try:
         inst = model.parse_instance(path.read_text())
-        start = time.perf_counter()
-        sol, used, stats = _run_algo(algo, inst, force)
-        row["millis"] = f"{(time.perf_counter() - start) * 1000.0:.2f}"
+        sol, _, stats, millis = _run_algo(algo, inst, force)
+        row["millis"] = f"{millis:.2f}"
         row["decision"] = "yes" if sol else "no"
-        if used in SEARCH_ALGOS:
+        if stats is not None:
             row["branches"] = str(stats.branches)
             row["tuples"] = str(stats.tuples)
     except (RbscError, UnicodeDecodeError, OSError) as exc:

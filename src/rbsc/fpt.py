@@ -33,8 +33,8 @@ leaf runs the one-blue search on all of them.
 Searches are deterministic: the tree tries sets in ascending id order before
 marking, the one-blue search grows states blue by blue in id order and keeps
 the first state with the fewest reds per blue mask, and the partition keeps
-the first block of least total.  Every solver here hands its YES family to
-model.certify, which re-verifies it against the original instance.
+the first block of least total.  Every solver here hands its YES family,
+kernel-forced sets included, to model.certify on the original instance.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class SolveStats:
 
 
 def _solve_one_blue_core(
-    groups: list[list[tuple[int, int]]], budget_red: int, stats: SolveStats | None
+    groups: list[list[tuple[int, int]]], budget_red: int, stats: SolveStats
 ) -> list[int] | None:
     """One set per blue covering at most budget_red reds in all, or None.
 
@@ -102,8 +102,7 @@ def _solve_one_blue_core(
                             via[nxt] = (state, sid)
                             grown.append(nxt)
         layer = grown
-    if stats is not None:
-        stats.tuples += len(via)
+    stats.tuples += len(via)
     # g[m]: fewest reds over partitions of m into blocks; pick[m]: the block holding m's lowest blue
     full = (1 << b) - 1
     g = [0] * (full + 1)
@@ -307,14 +306,11 @@ def solve_rbsc_kr_two_red(
             raise PreconditionViolated(
                 f"set {sid} has exactly one red element; zero or >= 2 required"
             )
-    forced: set[int] = set()
-    inst, _ = kernel._run_cycle(
+    reduced = kernel._run_cycle(
         instance,
         (kernel.rule_delete_red_only, kernel.rule_delete_heavy_red, kernel.rule_take_blue_only),
-        [],
-        forced,
     )
-    bounded = replace(inst, budget_lines=comb(inst.budget_red, 2))
+    bounded = replace(reduced.instance, budget_lines=comb(reduced.instance.budget_red, 2))
     sub = solve_kl_kr(bounded, stats=stats)
-    return None if sub is None else model.certify(instance, forced | sub.chosen)
+    return None if sub is None else model.certify(instance, reduced.forced | sub.chosen)
 

@@ -17,6 +17,7 @@ from itertools import combinations, product
 from math import comb, gcd
 from operator import attrgetter
 
+from . import model
 from .errors import (
     FilterUnsatisfiable,
     GeometryAuditError,
@@ -26,7 +27,7 @@ from .errors import (
     SemanticError,
 )
 from .geometry import LineEquation, PlanePoint, canonical_line, intersect, maximal_collinear_family
-from .model import ABSTRACT, BLUE, GEOMETRIC, RED, Element, Instance, _parse_nonneg, _rows, validate
+from .model import ABSTRACT, BLUE, GEOMETRIC, RED, Element, Instance, _parse_nonneg, _rows
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +341,7 @@ def gen_mcc_lines(g: MulticoloredGraph, d: int) -> Instance:
     family = tuple((sid, frozenset(mem)) for sid, (_, mem) in enumerate(lines))
     budget_red = max(0, 2 * (d + 1) * k - k * k)
     inst = Instance(tuple(elements), family, 2 * k, budget_red, GEOMETRIC)
-    violations = validate(inst).violations
+    violations = model.validate(inst).violations
     if violations:
         raise GeometryAuditError("; ".join(violations))
     return inst

@@ -21,16 +21,22 @@ from .model import Instance, TraceEntry
 
 @dataclass
 class KernelResult:
-    """A reduced instance plus its trace, or a NO certificate."""
+    """A reduced instance plus its trace, or a NO certificate; the rest is read off the trace."""
 
     instance: Instance | None
     trace: list[TraceEntry]
-    forced: frozenset[int]
-    no_reason: str | None = None
 
     @property
     def is_no(self) -> bool:
         return self.instance is None
+
+    @property
+    def forced(self) -> frozenset[int]:
+        return frozenset(sid for entry in self.trace for sid in entry.forced_sets)
+
+    @property
+    def no_reason(self) -> str | None:
+        return self.trace[-1].note if self.is_no else None
 
 
 def rule_delete_red_only(instance: Instance) -> TraceEntry | None:
@@ -53,17 +59,18 @@ def rule_force_big_blue(instance: Instance) -> TraceEntry | None:
     in a linear set system every other set covers at most one of its blues.
     The smallest qualifying set id is taken; its elements are deleted from
     the universe and from every other set, and both budgets are reduced.
-    Exhausting a budget yields a no_certificate entry instead.
+    Exhausting a budget yields a no_certificate entry instead.  Linearity
+    is checked only once a set qualifies: only forcing relies on it.
     """
     if instance.budget_lines is None:
         raise BoundedBudget("rule needs a finite line budget")
-    if not model.is_linear_system(instance):
-        raise NotLinearSystem("two sets share two or more elements")
     k_l = instance.budget_lines
     splits = instance.index.sets
     target = next((sid for sid, split in splits.items() if len(split.blue) >= k_l + 1), None)
     if target is None:
         return None
+    if not model.is_linear_system(instance):
+        raise NotLinearSystem("two sets share two or more elements")
     red_w = splits[target].red_weight
     if k_l < 1 or instance.budget_red < red_w:
         return TraceEntry("no_certificate", note=f"budget exhausted while forcing set {target}")
@@ -111,15 +118,15 @@ def _apply(instance: Instance, entry: TraceEntry, trace) -> Instance:
     return model.apply_trace_entry(instance, entry)[0]
 
 
-def _run_cycle(instance: Instance, rules, trace, forced) -> tuple[Instance, str | None]:
+def _run_cycle(instance: Instance, rules) -> KernelResult:
     """Apply the rules in order, pass after pass, until a whole pass returns None.
 
     A rule must return an entry only when applying it changes the instance;
-    otherwise this loop never ends.  Every entry goes to trace and its forced
-    sets to forced; an entry that deletes elements is followed by the
-    cleanup entry, if any.  Returns the reduced instance and None, or the
-    instance at hand and the note of the first no_certificate entry.
+    otherwise this loop never ends.  Every entry goes to the trace; an entry
+    that deletes elements is followed by the cleanup entry, if any.  The
+    first no_certificate entry ends the trace and makes the result a NO.
     """
+    trace: list[TraceEntry] = []
     changed = True
     while changed:
         changed = False
@@ -129,15 +136,14 @@ def _run_cycle(instance: Instance, rules, trace, forced) -> tuple[Instance, str 
                 continue
             if entry.rule == "no_certificate":
                 trace.append(entry)
-                return instance, entry.note
+                return KernelResult(None, trace)
             instance = _apply(instance, entry, trace)
-            forced.update(entry.forced_sets)
             if entry.removed_elements:
                 clean = model.cleanup(instance)
                 if clean is not None:
                     instance = _apply(instance, clean, trace)
             changed = True
-    return instance, None
+    return KernelResult(instance, trace)
 
 
 def _pipeline(instance: Instance, rules) -> KernelResult:
@@ -150,16 +156,12 @@ def _pipeline(instance: Instance, rules) -> KernelResult:
         raise BoundedBudget("pipeline needs a finite line budget")
     if not model.is_linear_system(instance):
         raise NotLinearSystem("two sets share two or more elements")
-    trace: list[TraceEntry] = []
-    forced: set[int] = set()
-    inst, no = _run_cycle(instance, rules, trace, forced)
+    result = _run_cycle(instance, rules)
+    no = None if result.is_no else _post_checks(result.instance)
     if no is None:
-        no = _post_checks(inst)
-        if no is not None:
-            trace.append(TraceEntry("no_certificate", note=no))
-    if no is not None:
-        return KernelResult(None, trace, frozenset(forced), no)
-    return KernelResult(inst, trace, frozenset(forced))
+        return result
+    result.trace.append(TraceEntry("no_certificate", note=no))
+    return KernelResult(None, result.trace)
 
 
 def _post_checks(instance: Instance) -> str | None:
@@ -207,14 +209,14 @@ def kernelize_ell(instance: Instance) -> KernelResult:
     if base.is_no:
         return base
     inst, trace = base.instance, base.trace
-    occurrences: dict[int, int] = {}
-    for _, mem in inst.family:
-        for eid in mem:
-            occurrences[eid] = occurrences.get(eid, 0) + 1
     # Dropping isolated reds, and merging one set's exclusive reds, leave the
-    # members of every other set as they were: one split serves the pass.
-    splits = inst.index.sets
-    isolated = [eid for eid in inst.index.reds if eid not in occurrences]
+    # members of every other set as they were: one index serves the pass.
+    ix = inst.index
+    seen = shared = 0
+    for split in ix.sets.values():
+        shared |= seen & split.red_mask
+        seen |= split.red_mask
+    isolated = [eid for i, eid in enumerate(ix.reds) if not seen >> i & 1]
     if isolated:
         entry = TraceEntry(
             "drop_isolated_reds",
@@ -222,12 +224,13 @@ def kernelize_ell(instance: Instance) -> KernelResult:
             note="red elements on no set are never covered",
         )
         inst = _apply(inst, entry, trace)
-    for sid, split in splits.items():
-        exclusive = sorted(e for e in split.red if occurrences[e] == 1)
-        if not exclusive:
+    for sid, split in ix.sets.items():
+        own = split.red_mask & ~shared
+        if not own:
             continue
+        exclusive = [eid for i, eid in enumerate(ix.reds) if own >> i & 1]
         keep = exclusive[0]
-        total = sum(inst.red_weight(e) for e in exclusive)
+        total = ix.red_weight(own)
         drop = exclusive[1:]
         reweights = ((keep, total),) if total != inst.red_weight(keep) else ()
         if not drop and not reweights:
@@ -239,7 +242,7 @@ def kernelize_ell(instance: Instance) -> KernelResult:
             note=f"set {sid}",
         )
         inst = _apply(inst, entry, trace)
-    return KernelResult(inst, trace, base.forced)
+    return KernelResult(inst, trace)
 
 
 def kernelize_kl_r(instance: Instance) -> KernelResult:
@@ -259,4 +262,4 @@ def kernelize_kl_r(instance: Instance) -> KernelResult:
     if clean is not None:
         note = "one singleton set per blue element suffices"
         inst = _apply(inst, replace(clean, rule="dedupe_singletons", note=note), trace)
-    return KernelResult(inst, trace, base.forced)
+    return KernelResult(inst, trace)

@@ -179,19 +179,32 @@ class InstanceIndex:
         self.blue_ids = frozenset(self.blues)
         self.red_ids = frozenset(self.reds)
         self.weighted = any(e.weight != 1 for e in instance.elements)
+        self._weights = tuple(e.weight for e in instance.elements if e.color == RED)
         blue_bit = {eid: 1 << i for i, eid in enumerate(self.blues)}
         red_bit = {eid: 1 << i for i, eid in enumerate(self.reds)}
         self.sets: dict[int, SetSplit] = {}
         for sid, mem in instance.family:
             blue = mem & self.blue_ids
             red = mem & self.red_ids
+            red_mask = sum(red_bit[e] for e in red)
             self.sets[sid] = SetSplit(
                 blue,
                 red,
-                sum(instance.red_weight(e) for e in red),
+                self.red_weight(red_mask),
                 sum(blue_bit[e] for e in blue),
-                sum(red_bit[e] for e in red),
+                red_mask,
             )
+
+    def red_weight(self, red_mask: int) -> int:
+        """Total weight of the reds whose bits red_mask sets."""
+        if not self.weighted:
+            return red_mask.bit_count()
+        total = 0
+        while red_mask:
+            low = red_mask & -red_mask
+            total += self._weights[low.bit_length() - 1]
+            red_mask ^= low
+        return total
 
 
 @dataclass(frozen=True)
@@ -199,8 +212,11 @@ class Solution:
     chosen: frozenset[int]
     blue_covered: int
     red_covered: int
-    feasible: bool
     shortfalls: tuple[str, ...] = ()  # the conditions verify finds unmet, in its order
+
+    @property
+    def feasible(self) -> bool:
+        return not self.shortfalls
 
 
 @dataclass(frozen=True)
@@ -294,19 +310,18 @@ def verify(instance: Instance, chosen) -> Solution:
     Red elements are counted (weight-summed) once each no matter how many
     chosen sets cover them.  The family is feasible when it has no
     shortfall: it covers every blue, within the red and the line budget.
+    No other code builds a Solution, so every solver's YES passes here.
     """
     chosen = frozenset(chosen)
-    splits = instance.index.sets
+    ix = instance.index
+    blue_mask = red_mask = 0
     for sid in chosen:
-        if sid not in splits:
+        if sid not in ix.sets:
             raise UnknownSetId(f"set {sid} is not in the family")
-    blue: set[int] = set()
-    red: set[int] = set()
-    for sid in chosen:
-        blue |= splits[sid].blue
-        red |= splits[sid].red
-    blue_covered = len(blue)
-    red_covered = sum(instance.red_weight(e) for e in red)
+        blue_mask |= ix.sets[sid].blue_mask
+        red_mask |= ix.sets[sid].red_mask
+    blue_covered = blue_mask.bit_count()
+    red_covered = ix.red_weight(red_mask)
     shortfalls = []
     if blue_covered != instance.num_blue:
         shortfalls.append("blue elements uncovered")
@@ -314,7 +329,7 @@ def verify(instance: Instance, chosen) -> Solution:
         shortfalls.append("red budget exceeded")
     if instance.budget_lines is not None and len(chosen) > instance.budget_lines:
         shortfalls.append("line budget exceeded")
-    return Solution(chosen, blue_covered, red_covered, not shortfalls, tuple(shortfalls))
+    return Solution(chosen, blue_covered, red_covered, tuple(shortfalls))
 
 
 def certify(instance: Instance, chosen) -> Solution:

@@ -1,34 +1,20 @@
 """Brute-force reference solvers.
 
 These are the ground truth the faster algorithms are property-tested against.
-Guards turn accidental exponential blowups into loud errors instead of hangs;
-pass force=True to override.
+They search the index's bit masks and hand the family they find to
+model.certify, like every other solver.  Guards turn accidental exponential
+blowups into loud errors instead of hangs; pass force=True to override.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from . import model
 from .errors import BoundedBudget, TooLarge
 from .model import Instance, Solution
 
 SUBSET_GUARD = 25
-
-
-def _bit_tables(instance: Instance):
-    ix = instance.index
-    weights = [instance.red_weight(eid) for eid in ix.reds]
-    sets = [(sid, split.blue_mask, split.red_mask) for sid, split in ix.sets.items()]
-    return ix.blues, weights, sets
-
-
-def _red_score(mask: int, weights: list[int]) -> int:
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += weights[low.bit_length() - 1]
-        mask ^= low
-    return total
 
 
 def brute_force_solve(instance: Instance, *, force: bool = False) -> Solution | None:
@@ -40,8 +26,9 @@ def brute_force_solve(instance: Instance, *, force: bool = False) -> Solution | 
     ell = instance.num_sets
     if ell > SUBSET_GUARD and not force:
         raise TooLarge(f"{ell} sets exceeds the brute-force guard of {SUBSET_GUARD}")
-    blues, weights, sets = _bit_tables(instance)
-    full = (1 << len(blues)) - 1
+    ix = instance.index
+    sets = [(sid, split.blue_mask, split.red_mask) for sid, split in ix.sets.items()]
+    full = (1 << len(ix.blues)) - 1
     k_r = instance.budget_red
     max_size = ell if instance.budget_lines is None else min(instance.budget_lines, ell)
     best: tuple[int, int, tuple[int, ...]] | None = None
@@ -53,15 +40,12 @@ def brute_force_solve(instance: Instance, *, force: bool = False) -> Solution | 
                 rm |= r
             if bm != full:
                 continue
-            score = _red_score(rm, weights)
+            score = ix.red_weight(rm)
             if score > k_r:
                 continue
             if best is None or (score, size) < best[:2]:
                 best = (score, size, tuple(s for s, _, _ in combo))
-    if best is None:
-        return None
-    score, _, chosen = best
-    return Solution(frozenset(chosen), len(blues), score, True)
+    return None if best is None else model.certify(instance, best[2])
 
 
 def solve_rbsc_by_red_subsets(instance: Instance, *, force: bool = False) -> Solution | None:
@@ -76,8 +60,9 @@ def solve_rbsc_by_red_subsets(instance: Instance, *, force: bool = False) -> Sol
     r = instance.num_red
     if r > SUBSET_GUARD and not force:
         raise TooLarge(f"{r} red elements exceeds the guard of {SUBSET_GUARD}")
-    blues, weights, sets = _bit_tables(instance)
-    full = (1 << len(blues)) - 1
+    ix = instance.index
+    sets = [(sid, split.blue_mask, split.red_mask) for sid, split in ix.sets.items()]
+    full = (1 << len(ix.blues)) - 1
     for size in range(min(instance.budget_red, r) + 1):
         for picked in combinations(range(r), size):
             rmask = 0
@@ -92,8 +77,7 @@ def solve_rbsc_by_red_subsets(instance: Instance, *, force: bool = False) -> Sol
                     rm_cov |= rr
             if bm != full:
                 continue
-            score = _red_score(rm_cov, weights)
-            if score > instance.budget_red:
+            if ix.red_weight(rm_cov) > instance.budget_red:
                 continue  # possible only with non-unit weights
-            return Solution(frozenset(chosen), len(blues), score, True)
+            return model.certify(instance, chosen)
     return None

@@ -137,6 +137,29 @@ def test_auto_matches_brute_across_corpus(tmp_path):
             assert a == b
 
 
+@pytest.mark.parametrize(
+    "algo, inst",
+    [
+        ("brute", abstract_instance("BRB", [{0, 1}, {2}], 2, 1)),
+        ("red-subsets", abstract_instance("BRBR", [{0, 1}, {2}, {2, 3}], None, 2, weights={1: 2})),
+    ],
+)
+def test_oracle_yes_passes_model_certify(tmp_path, monkeypatch, capsys, algo, inst):
+    certified = []
+    certify = model.certify
+
+    def counted(instance, chosen):
+        sol = certify(instance, chosen)
+        certified.append(sol)
+        return sol
+
+    monkeypatch.setattr(model, "certify", counted)
+    path = write_instance(tmp_path, inst)
+    assert cli.main(["solve", str(path), "--algo", algo]) == 0
+    claim = model.parse_solution((tmp_path / "case.rbsc.solution").read_text())
+    assert [sol.chosen for sol in certified] == [claim.chosen]
+
+
 @pytest.mark.parametrize("budget_red", [2, 3])
 def test_auto_sends_weighted_ell_kernel_to_brute(tmp_path, capsys, budget_red):
     # the ell kernel merges set 0's exclusive reds 2 and 3 into red 2 of weight 2
@@ -269,7 +292,6 @@ def _complete_multipartite(classes, size):
 
 @pytest.mark.parametrize("kind", ["setcover", "setcover-uniqred", "mcc-lines", "mcc-sets", "random"])
 def test_generate_validates_its_output_once(tmp_path, monkeypatch, kind):
-    # gen_mcc_lines validates through its own import of validate.
     calls = []
     validate = model.validate
 
@@ -278,7 +300,6 @@ def test_generate_validates_its_output_once(tmp_path, monkeypatch, kind):
         return validate(inst)
 
     monkeypatch.setattr(model, "validate", counted)
-    monkeypatch.setattr(generators, "validate", counted)
     sc = tmp_path / "cover.setcover"
     cover = generators.SetCoverInstance(3, (frozenset({1, 2}), frozenset({3})), 2)
     sc.write_text(generators.serialize_setcover(cover))
@@ -294,6 +315,23 @@ def test_generate_validates_its_output_once(tmp_path, monkeypatch, kind):
     argv = ["generate", kind, *source[kind], "--out", str(tmp_path / "out.rbsc")]
     assert cli.main(argv) == 0
     assert len(calls) == 1
+
+
+def test_generate_mcc_lines_audit_goes_through_model_validate(tmp_path, monkeypatch):
+    """A wrapper on model.validate alone sees gen_mcc_lines audit the instance it writes."""
+    seen = []
+    validate = model.validate
+
+    def counted(inst):
+        seen.append(inst)
+        return validate(inst)
+
+    monkeypatch.setattr(model, "validate", counted)
+    graph = tmp_path / "k222.mcgraph"
+    graph.write_text(generators.serialize_mcgraph(_complete_multipartite(3, 2)))
+    out = tmp_path / "k222.rbsc"
+    assert cli.main(["generate", "mcc-lines", "--graph", str(graph), "--out", str(out)]) == 0
+    assert len(seen) == 1 and model.serialize_instance(seen[0]) == out.read_text()
 
 
 def test_generate_setcover_from_file(tmp_path):

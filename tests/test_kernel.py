@@ -53,6 +53,40 @@ def test_force_big_blue_requires_linear_system():
         kernel.rule_force_big_blue(inst)
 
 
+def test_force_big_blue_checks_linearity_only_to_force():
+    # sets 0 and 1 share two blues, but no set holds more than budget_lines blues
+    inst = abstract_instance("BBB", [{0, 1, 2}, {1, 2}], 3, 0)
+    assert kernel.rule_force_big_blue(inst) is None
+
+
+def test_kernelize_checks_linearity_once_when_nothing_is_forced(monkeypatch):
+    calls = []
+    is_linear = model.is_linear_system
+
+    def counted(inst):
+        calls.append(inst)
+        return is_linear(inst)
+
+    monkeypatch.setattr(model, "is_linear_system", counted)
+    # set 2 holds no blue: the deletion fires, a second pass finds nothing
+    inst = abstract_instance("BBR", [{0}, {1}, {2}], 2, 0)
+    res = kernel.kernelize_kl_kr(inst)
+    assert [e.rule for e in res.trace] == ["delete_red_only"]
+    assert calls == [inst]
+
+
+def test_kernel_result_reads_forced_sets_and_no_reason_from_its_trace():
+    trace = [
+        model.TraceEntry("force_big_blue", forced_sets=(3,)),
+        model.TraceEntry("take_blue_only", forced_sets=(1, 4)),
+        model.TraceEntry("no_certificate", note="budget exhausted while forcing set 5"),
+    ]
+    res = kernel.KernelResult(None, trace)
+    assert res.forced == {1, 3, 4} and res.no_reason == "budget exhausted while forcing set 5"
+    kept = kernel.KernelResult(abstract_instance("B", [{0}], 1, 0), trace[:2])
+    assert kept.forced == {1, 3, 4} and kept.no_reason is None
+
+
 def test_force_big_blue_budget_exhaustion_is_no():
     inst = abstract_instance("BBR", [{0, 1, 2}], 0, 5)
     entry = kernel.rule_force_big_blue(inst)

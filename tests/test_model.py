@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import random
 from itertools import combinations
@@ -115,6 +116,32 @@ def test_verify_is_pinned():
                 records.append(f"{name} {seed} {err.value}")
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == "f00df50da29890a7295508117d2c425d7f4f8429b956da5e115476b23c0b4d41"
+
+
+def test_only_verify_builds_a_solution():
+    src = Path(model.__file__).resolve().parent
+    builders = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.Module)):
+                body = func.body if isinstance(func, ast.FunctionDef) else []
+                for node in (n for stmt in body for n in ast.walk(stmt)):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Solution":
+                        builders.append((path.name, func.name))
+    assert builders == [("model.py", "verify")]
+    assert sum(path.read_text().count("Solution(") for path in src.glob("*.py")) == 1
+
+
+def test_index_sums_red_weights_over_a_mask():
+    weights = {1: 2, 3: 5}
+    inst = abstract_instance("BRBRR", [{0, 1}, {2, 3, 4}], 2, 9, weights=weights)
+    unit = abstract_instance("BRBRR", [{0, 1}, {2, 3, 4}], 2, 9)
+    for mask in range(8):
+        reds = [eid for i, eid in enumerate((1, 3, 4)) if mask >> i & 1]
+        assert inst.index.red_weight(mask) == sum(weights.get(e, 1) for e in reds)
+        assert unit.index.red_weight(mask) == len(reds)
+    assert [split.red_weight for split in inst.index.sets.values()] == [2, 6]
 
 
 def test_weight_on_blue_rejected():
