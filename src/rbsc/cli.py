@@ -17,8 +17,8 @@ from pathlib import Path
 from . import dp, fpt, generators, kernel, model, oracle
 from .errors import RbscError
 
-# name -> (call on (instance, force, stats), whether it runs fpt's search and
-# fills stats).  Each call looks its solver up on the module when it runs.
+# name -> (call on (instance, force, stats), whether it runs fpt's search).
+# Calls look their solver up at call time, so wrappers on module attributes see them.
 SOLVERS = {
     "fpt": (lambda inst, force, stats: fpt.solve_kl_kr(inst, stats=stats), True),
     "brute": (lambda inst, force, stats: oracle.brute_force_solve(inst, force=force), False),

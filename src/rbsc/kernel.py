@@ -200,7 +200,7 @@ def kernelize_ell(instance: Instance) -> KernelResult:
     The kernel is a size certificate: its merged reds carry weights, and the
     fast solvers (solve_kl_kr, dp_solve and the special cases) take unit
     weights only, so `rbsc solve --algo auto` sends a weighted kernel to
-    brute force, the one solver that sums weights.
+    brute force, the finite-budget solver that takes weights.
     """
     base = _pipeline(
         instance,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import abstract_instance, with_random_weights
-from rbsc import cli, generators, model
+from rbsc import cli, dp, fpt, generators, model, oracle
 
 
 def write_instance(tmp_path, inst, name="case.rbsc"):
@@ -135,6 +135,30 @@ def test_auto_matches_brute_across_corpus(tmp_path):
             a = cli.main(["solve", str(path), "--algo", "auto", "--out", str(path) + ".a"])
             b = cli.main(["solve", str(path), "--algo", "brute", "--out", str(path) + ".b"])
             assert a == b
+
+
+@pytest.mark.parametrize(
+    "algo, module, name",
+    [
+        ("fpt", fpt, "solve_kl_kr"),
+        ("brute", oracle, "brute_force_solve"),
+        ("dp", dp, "dp_solve"),
+        ("red-subsets", oracle, "solve_rbsc_by_red_subsets"),
+        ("two-blue", fpt, "solve_two_blue_special"),
+        ("rbsc-two-red", fpt, "solve_rbsc_kr_two_red"),
+    ],
+)
+def test_solve_looks_each_solver_up_on_its_module(tmp_path, monkeypatch, algo, module, name):
+    # bench/tracing.py wraps the solvers on their modules and counts what cli calls
+    calls = []
+
+    def stub(inst, **kwargs):
+        calls.append(kwargs)
+
+    monkeypatch.setattr(module, name, stub)
+    path = write_instance(tmp_path, tiny_yes())
+    assert cli.main(["solve", str(path), "--algo", algo]) == 1
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

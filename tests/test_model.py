@@ -1,5 +1,5 @@
-import ast
 import hashlib
+import inspect
 import random
 from itertools import combinations
 from pathlib import Path
@@ -120,17 +120,9 @@ def test_verify_is_pinned():
 
 def test_only_verify_builds_a_solution():
     src = Path(model.__file__).resolve().parent
-    builders = []
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.Module)):
-                body = func.body if isinstance(func, ast.FunctionDef) else []
-                for node in (n for stmt in body for n in ast.walk(stmt)):
-                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Solution":
-                        builders.append((path.name, func.name))
-    assert builders == [("model.py", "verify")]
-    assert sum(path.read_text().count("Solution(") for path in src.glob("*.py")) == 1
+    lines = [line for path in src.glob("*.py") for line in path.read_text().splitlines()]
+    assert sum("Solution(" in line for line in lines) == 1
+    assert "Solution(" in inspect.getsource(model.verify)
 
 
 def test_index_sums_red_weights_over_a_mask():
