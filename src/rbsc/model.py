@@ -178,8 +178,8 @@ class InstanceIndex:
         self.reds = tuple(e.eid for e in instance.elements if e.color == RED)
         self.blue_ids = frozenset(self.blues)
         self.red_ids = frozenset(self.reds)
-        self.weighted = any(e.weight != 1 for e in instance.elements)
         self._weights = tuple(e.weight for e in instance.elements if e.color == RED)
+        self.weighted = any(w != 1 for w in self._weights)  # blues always weigh 1
         blue_bit = {eid: 1 << i for i, eid in enumerate(self.blues)}
         red_bit = {eid: 1 << i for i, eid in enumerate(self.reds)}
         self.sets: dict[int, SetSplit] = {}
