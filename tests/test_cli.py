@@ -168,7 +168,7 @@ def test_solve_looks_each_solver_up_on_its_module(tmp_path, monkeypatch, algo, m
         ("red-subsets", abstract_instance("BRBR", [{0, 1}, {2}, {2, 3}], None, 2, weights={1: 2})),
     ],
 )
-def test_oracle_yes_passes_model_certify(tmp_path, monkeypatch, capsys, algo, inst):
+def test_oracle_yes_passes_model_certify(tmp_path, monkeypatch, algo, inst):
     certified = []
     certify = model.certify
 
