@@ -48,7 +48,11 @@ PROFILES = {
 def _write_atomic(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink()
+        raise
 
 
 def _load_instance(path: str) -> model.Instance:
@@ -58,7 +62,7 @@ def _load_instance(path: str) -> model.Instance:
 def _pick_auto(inst: model.Instance, force: bool) -> str:
     if inst.is_weighted():
         return "brute"
-    red_counts = [len(split.red) for split in inst.index.sets.values()]
+    red_counts = [split.red_mask.bit_count() for split in inst.index.sets.values()]
     if inst.budget_lines is None:
         if 1 not in red_counts and model.is_linear_system(inst):
             return "rbsc-two-red"

@@ -143,13 +143,14 @@ def _usable(instance: Instance):
         )
     free: list[tuple[int, int]] = []
     owned: dict[int, list[tuple[int, int]]] = {}
-    for sid, split in instance.index.sets.items():
-        if len(split.red) >= 2:
-            raise RedDegreeExceeded(f"set {sid} has {len(split.red)} red elements")
-        if split.red:
-            owned.setdefault(min(split.red), []).append((sid, split.blue_mask))
+    ix = instance.index
+    for sid, (bm, rm) in ix.sets.items():
+        if rm.bit_count() >= 2:
+            raise RedDegreeExceeded(f"set {sid} has {rm.bit_count()} red elements")
+        if rm:
+            owned.setdefault(ix.reds[rm.bit_length() - 1], []).append((sid, bm))
         else:
-            free.append((sid, split.blue_mask))
+            free.append((sid, bm))
     reds = tuple(sorted(owned))
     # Sets usable while paying for a given red: red-free always, plus the
     # sets owning exactly that red.
@@ -186,11 +187,8 @@ def _drop_implied_blues(instance: Instance, usable):
     """
     holders = [0] * instance.num_blue
     for k, split in enumerate(instance.index.sets.values()):
-        mask = split.blue_mask
-        while mask:
-            low = mask & -mask
-            holders[low.bit_length() - 1] |= 1 << k
-            mask ^= low
+        for i in model.bits(split.blue_mask):
+            holders[i] |= 1 << k
     kept = [
         i
         for i, col in enumerate(holders)
@@ -215,11 +213,8 @@ def _packing(masks, b: int) -> int:
     """
     near = [0] * b
     for bm in masks:
-        mask = bm
-        while mask:
-            low = mask & -mask
-            near[low.bit_length() - 1] |= bm
-            mask ^= low
+        for i in model.bits(bm):
+            near[i] |= bm
     taken = 0
     for i in sorted(range(b), key=lambda i: near[i].bit_count()):
         if not near[i] & taken:

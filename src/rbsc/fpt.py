@@ -161,19 +161,18 @@ def _search(reduced: Instance, stats: SolveStats | None) -> list[int] | None:
     ix = reduced.index
     # by_blue[i]: (sid, blue mask, red mask, own bit) of every multi-blue set
     # holding blue bit i; own bits make up the excluded-set masks below.
-    # single[i]: (sid, red mask) of every one-blue set holding it.
+    # single[i]: (sid, red mask) of every one-blue set holding it.  A set
+    # with no blue is in neither list: no solution needs it.
     by_blue: list[list[tuple[int, int, int, int]]] = [[] for _ in ix.blues]
     single: list[list[tuple[int, int]]] = [[] for _ in ix.blues]
-    position = {eid: i for i, eid in enumerate(ix.blues)}
     widest = 1
-    for bit, (sid, split) in enumerate(ix.sets.items()):
-        if len(split.blue) >= 2:
-            widest = max(widest, len(split.blue))
-            for eid in split.blue:
-                by_blue[position[eid]].append((sid, split.blue_mask, split.red_mask, 1 << bit))
-        else:
-            (blue,) = split.blue
-            single[position[blue]].append((sid, split.red_mask))
+    for bit, (sid, (bm, rm)) in enumerate(ix.sets.items()):
+        if bm.bit_count() == 1:
+            single[bm.bit_length() - 1].append((sid, rm))
+            continue
+        widest = max(widest, bm.bit_count())
+        for i in model.bits(bm):
+            by_blue[i].append((sid, bm, rm, 1 << bit))
     full = (1 << len(ix.blues)) - 1
     stats = stats if stats is not None else SolveStats()
     picked: list[int] = []
@@ -223,10 +222,10 @@ def solve_one_blue_special(instance: Instance, *, stats: SolveStats | None = Non
     """
     _require_unweighted(instance)
     _require_finite_budget(instance)
-    for sid, split in instance.index.sets.items():
-        if len(split.blue) != 1:
+    for sid, (bm, _) in instance.index.sets.items():
+        if bm.bit_count() != 1:
             raise PreconditionViolated(
-                f"set {sid} has {len(split.blue)} blue elements; exactly one is required"
+                f"set {sid} has {bm.bit_count()} blue elements; exactly one is required"
             )
     fam = _search(instance, stats)
     return None if fam is None else model.certify(instance, fam)
@@ -260,9 +259,9 @@ def solve_bounded_red(
     _require_finite_budget(instance)
     if d < 0:
         raise ValueError("d must be nonnegative")
-    for sid, split in instance.index.sets.items():
-        if len(split.red) > d:
-            raise DegreeExceeded(f"set {sid} has {len(split.red)} red elements, more than d={d}")
+    for sid, (_, rm) in instance.index.sets.items():
+        if rm.bit_count() > d:
+            raise DegreeExceeded(f"set {sid} has {rm.bit_count()} red elements, more than d={d}")
     capped = min(instance.budget_red, d * instance.budget_lines)
     sol = solve_kl_kr(replace(instance, budget_red=capped), stats=stats)
     return None if sol is None else model.certify(instance, sol.chosen)
@@ -279,7 +278,7 @@ def solve_two_blue_special(
     _require_unweighted(instance)
     _require_finite_budget(instance)
     for sid, split in instance.index.sets.items():
-        if len(split.blue) == 1:
+        if split.blue_mask.bit_count() == 1:
             raise PreconditionViolated(
                 f"set {sid} has exactly one blue element; zero or >= 2 required"
             )
@@ -302,7 +301,7 @@ def solve_rbsc_kr_two_red(
     if instance.budget_lines is not None:
         raise PreconditionViolated("an unbounded line budget is required")
     for sid, split in instance.index.sets.items():
-        if len(split.red) == 1:
+        if split.red_mask.bit_count() == 1:
             raise PreconditionViolated(
                 f"set {sid} has exactly one red element; zero or >= 2 required"
             )

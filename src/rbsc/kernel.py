@@ -41,37 +41,42 @@ class KernelResult:
 
 def rule_delete_red_only(instance: Instance) -> TraceEntry | None:
     """Remove every set that contains no blue element."""
-    drop = [sid for sid, split in instance.index.sets.items() if not split.blue]
+    drop = [sid for sid, split in instance.index.sets.items() if not split.blue_mask]
     return TraceEntry("delete_red_only", removed_sets=tuple(drop)) if drop else None
 
 
 def rule_delete_heavy_red(instance: Instance) -> TraceEntry | None:
     """Remove every set whose red weight alone exceeds the red budget."""
+    ix = instance.index
     k_r = instance.budget_red
-    drop = [sid for sid, split in instance.index.sets.items() if split.red_weight > k_r]
+    drop = [sid for sid, split in ix.sets.items() if ix.red_weight(split.red_mask) > k_r]
     return TraceEntry("delete_heavy_red", removed_sets=tuple(drop)) if drop else None
 
 
 def rule_force_big_blue(instance: Instance) -> TraceEntry | None:
     """Commit a set with more blue elements than could otherwise be covered.
 
-    A set with >= budget_lines + 1 blue elements must be in any solution:
-    in a linear set system every other set covers at most one of its blues.
-    The smallest qualifying set id is taken; its elements are deleted from
-    the universe and from every other set, and both budgets are reduced.
-    Exhausting a budget yields a no_certificate entry instead.  Linearity
-    is checked only once a set qualifies: only forcing relies on it.
+    A set with >= budget_lines + 1 blue elements must be in any solution
+    when every other set covers at most one of its blues, as each does in a
+    linear set system: budget_lines other sets then miss one of them.  The
+    smallest qualifying set id is taken; its elements are deleted from the
+    universe and from every other set, and both budgets are reduced.
+    Exhausting a budget yields a no_certificate entry instead.  Only that
+    condition is checked, and only once a set qualifies: another set holding
+    two of the target's blues raises NotLinearSystem.
     """
     if instance.budget_lines is None:
         raise BoundedBudget("rule needs a finite line budget")
     k_l = instance.budget_lines
-    splits = instance.index.sets
-    target = next((sid for sid, split in splits.items() if len(split.blue) >= k_l + 1), None)
+    ix = instance.index
+    target = next((sid for sid, (bm, _) in ix.sets.items() if bm.bit_count() > k_l), None)
     if target is None:
         return None
-    if not model.is_linear_system(instance):
+    blues = ix.sets[target].blue_mask
+    others = (split.blue_mask for sid, split in ix.sets.items() if sid != target)
+    if any((mask & blues).bit_count() >= 2 for mask in others):
         raise NotLinearSystem("two sets share two or more elements")
-    red_w = splits[target].red_weight
+    red_w = ix.red_weight(ix.sets[target].red_mask)
     if k_l < 1 or instance.budget_red < red_w:
         return TraceEntry("no_certificate", note=f"budget exhausted while forcing set {target}")
     return TraceEntry(
@@ -87,7 +92,7 @@ def rule_take_blue_only(instance: Instance) -> TraceEntry | None:
     """With no bound on chosen sets, red-free sets are always taken."""
     if instance.budget_lines is not None:
         raise BoundedBudget("rule is only safe with an unbounded line budget")
-    take = [sid for sid, split in instance.index.sets.items() if not split.red]
+    take = [sid for sid, split in instance.index.sets.items() if not split.red_mask]
     if not take:
         return None
     covered = set()
@@ -165,12 +170,12 @@ def _pipeline(instance: Instance, rules) -> KernelResult:
 
 
 def _post_checks(instance: Instance) -> str | None:
-    covered = set()
-    for _, mem in instance.family:
-        covered |= mem
-    for eid in instance.index.blues:
-        if eid not in covered:
-            return f"blue element {eid} lies in no set"
+    ix = instance.index
+    uncovered = (1 << len(ix.blues)) - 1
+    for split in ix.sets.values():
+        uncovered &= ~split.blue_mask
+    if uncovered:
+        return f"blue element {ix.blues[(uncovered & -uncovered).bit_length() - 1]} lies in no set"
     k_l = instance.budget_lines
     if instance.num_blue > k_l * k_l:
         return f"{instance.num_blue} blue elements remain, more than budget_lines^2 = {k_l * k_l}"
@@ -232,7 +237,7 @@ def kernelize_ell(instance: Instance) -> KernelResult:
         keep = exclusive[0]
         total = ix.red_weight(own)
         drop = exclusive[1:]
-        reweights = ((keep, total),) if total != inst.red_weight(keep) else ()
+        reweights = ((keep, total),) if total != ix.red_weight(own & -own) else ()
         if not drop and not reweights:
             continue
         entry = TraceEntry(

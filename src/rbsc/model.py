@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 from .errors import ParseError, SemanticError, UnknownSetId
@@ -117,13 +117,13 @@ class Instance:
     def set_ids(self) -> list[int]:
         return [sid for sid, _ in self.family]
 
-    @property
+    @cached_property
     def blue_ids(self) -> frozenset[int]:
-        return self.index.blue_ids
+        return frozenset(e.eid for e in self.elements if e.color == BLUE)
 
-    @property
+    @cached_property
     def red_ids(self) -> frozenset[int]:
-        return self.index.red_ids
+        return frozenset(e.eid for e in self.elements if e.color == RED)
 
     @property
     def num_blue(self) -> int:
@@ -138,73 +138,64 @@ class Instance:
         return len(self.family)
 
     def blue_members(self, sid: int) -> frozenset[int]:
-        return self.index.sets[sid].blue
+        return self._members[sid] & self.blue_ids
 
     def red_members(self, sid: int) -> frozenset[int]:
-        return self.index.sets[sid].red
+        return self._members[sid] & self.red_ids
 
     def color_of(self, eid: int) -> str:
         return self._by_eid[eid].color
-
-    def red_weight(self, eid: int) -> int:
-        return self._by_eid[eid].weight
 
     def is_weighted(self) -> bool:
         return self.index.weighted
 
 
 class SetSplit(NamedTuple):
-    """One set's members split by color.
+    """One set's members as two bit masks, the only per-set color form.
 
-    Bit i of blue_mask (red_mask) stands for the i-th smallest blue (red) id.
+    Bit i of blue_mask (red_mask) stands for the i-th smallest blue (red)
+    id; counts are bit counts, and the index's red_weight(mask) sums weights.
     """
 
-    blue: frozenset[int]
-    red: frozenset[int]
-    red_weight: int
     blue_mask: int
     red_mask: int
 
 
 class InstanceIndex:
-    """Per-set color splits and their bit numbering, built once per instance.
+    """Per-set color masks and their bit numbering, built once per instance.
 
-    Members naming no element of the universe are in neither split; validate
-    reports them.
+    One eid -> bit table numbers the blues from bit 0 and the reds above
+    them, so a set's members make one mask that splits at the first red
+    bit.  Members naming no element of the universe are in neither mask;
+    validate reports them.
     """
 
     def __init__(self, instance: Instance):
         self.blues = tuple(e.eid for e in instance.elements if e.color == BLUE)
         self.reds = tuple(e.eid for e in instance.elements if e.color == RED)
-        self.blue_ids = frozenset(self.blues)
-        self.red_ids = frozenset(self.reds)
         self._weights = tuple(e.weight for e in instance.elements if e.color == RED)
         self.weighted = any(w != 1 for w in self._weights)  # blues always weigh 1
-        blue_bit = {eid: 1 << i for i, eid in enumerate(self.blues)}
-        red_bit = {eid: 1 << i for i, eid in enumerate(self.reds)}
+        bit = {eid: 1 << i for i, eid in enumerate(self.blues + self.reds)}
+        nb = len(self.blues)
+        low = (1 << nb) - 1
         self.sets: dict[int, SetSplit] = {}
         for sid, mem in instance.family:
-            blue = mem & self.blue_ids
-            red = mem & self.red_ids
-            red_mask = sum(red_bit[e] for e in red)
-            self.sets[sid] = SetSplit(
-                blue,
-                red,
-                self.red_weight(red_mask),
-                sum(blue_bit[e] for e in blue),
-                red_mask,
-            )
+            mask = sum(map(bit.get, mem, repeat(0)))
+            self.sets[sid] = SetSplit(mask & low, mask >> nb)
 
     def red_weight(self, red_mask: int) -> int:
         """Total weight of the reds whose bits red_mask sets."""
         if not self.weighted:
             return red_mask.bit_count()
-        total = 0
-        while red_mask:
-            low = red_mask & -red_mask
-            total += self._weights[low.bit_length() - 1]
-            red_mask ^= low
-        return total
+        return sum(self._weights[i] for i in bits(red_mask))
+
+
+def bits(mask: int):
+    """The positions of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ def brute_min_family_size(instance) -> int | None:
             if not blues <= covered:
                 continue
             red = sum(
-                instance.red_weight(e) for e in covered if instance.color_of(e) == RED
+                instance.element(e).weight for e in covered if instance.color_of(e) == RED
             )
             if red <= instance.budget_red:
                 return size

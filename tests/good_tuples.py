@@ -119,11 +119,12 @@ class _OneBlueContext:
         self.sets: dict[int, tuple[int, int]] = {}
         self.by_blue: dict[int, list[int]] = {}
         for sid, split in sorted(instance.index.sets.items()):
-            if len(split.blue) != 1:
+            blue = instance.blue_members(sid)
+            if len(blue) != 1:
                 raise PreconditionViolated(
-                    f"set {sid} has {len(split.blue)} blue elements; exactly one is required"
+                    f"set {sid} has {len(blue)} blue elements; exactly one is required"
                 )
-            (blue,) = split.blue
+            (blue,) = blue
             self.sets[sid] = (blue, split.red_mask)
             self.by_blue.setdefault(blue, []).append(sid)
 

@@ -77,6 +77,20 @@ def test_solve_out_into_missing_directory_is_exit_2(tmp_path, capsys):
     assert_error_exit(capsys, ["solve", str(path), "--out", str(out)], "FileNotFoundError")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--out"], ["kernelize", "--param", "kl-kr", "--trace"]],
+    ids=["solve", "kernelize"],
+)
+def test_output_onto_a_directory_is_exit_2_and_leaves_no_temporary(tmp_path, capsys, argv):
+    path = write_instance(tmp_path, tiny_yes())
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    command, *flags = argv
+    assert_error_exit(capsys, [command, str(path), *flags, str(outdir)], "IsADirectoryError")
+    assert not (tmp_path / "outdir.tmp").exists()
+
+
 def test_generate_setcover_bad_integer_is_exit_2(tmp_path, capsys):
     src = tmp_path / "bad.sc"
     src.write_text("setcover 1\nn x\nk 1\nset 0 : 0\n")

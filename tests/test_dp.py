@@ -537,7 +537,7 @@ def test_no_red_budget_counts_only_red_free_sets(monkeypatch):
 def test_packing_never_exceeds_the_smallest_cover(inst):
     # Only the sets usable at the red budget count, as in dp_solve.
     sets = inst.index.sets.values()
-    masks = [split.blue_mask for split in sets if inst.budget_red or not split.red]
+    masks = [split.blue_mask for split in sets if inst.budget_red or not split.red_mask]
     best = brute_min_family_size(replace(inst, budget_lines=None))
     if best is not None:
         assert dp._packing(masks, inst.num_blue) <= best

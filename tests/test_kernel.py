@@ -3,6 +3,8 @@ import random
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import abstract_instance
 from rbsc import cli, generators, kernel, model, oracle
@@ -73,6 +75,54 @@ def test_kernelize_checks_linearity_once_when_nothing_is_forced(monkeypatch):
     res = kernel.kernelize_kl_kr(inst)
     assert [e.rule for e in res.trace] == ["delete_red_only"]
     assert calls == [inst]
+
+
+def test_force_big_blue_needs_only_the_targets_blues_apart():
+    # sets 1 and 2 share two elements, but no other set holds two blues of set 0
+    inst = abstract_instance("BBBBRR", [{0, 1, 2}, {3, 4}, {3, 4, 5}], 2, 1)
+    entry = kernel.rule_force_big_blue(inst)
+    assert entry.rule == "force_big_blue" and entry.forced_sets == (0,)
+    assert entry.removed_elements == (0, 1, 2) and entry.delta_red == 0
+    with pytest.raises(NotLinearSystem):
+        kernel.kernelize_kl_kr(inst)
+
+
+def test_kernelize_checks_linearity_once_when_forcing(monkeypatch):
+    calls = []
+    is_linear = model.is_linear_system
+
+    def counted(inst):
+        calls.append(inst)
+        return is_linear(inst)
+
+    monkeypatch.setattr(model, "is_linear_system", counted)
+    inst = abstract_instance("BBBBB", [{0, 1, 2}, {3, 4}], 2, 0)
+    res = kernel.kernelize_kl_kr(inst)
+    assert [e.rule for e in res.trace] == ["force_big_blue", "force_big_blue"]
+    assert res.forced == {0, 1}
+    assert calls == [inst]
+
+
+NON_LINEAR = generators.RandomProfile(mode=ABSTRACT, linear=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_force_big_blue_entries_keep_the_brute_force_decision(seed):
+    inst = generators.gen_random(seed, NON_LINEAR)
+    try:
+        entry = kernel.rule_force_big_blue(inst)
+    except NotLinearSystem:
+        return  # another set holds two of the target's blues
+    if entry is None:
+        return
+    before = oracle.brute_force_solve(inst) is not None
+    if entry.rule == "no_certificate":
+        assert not before
+    else:
+        assert entry.rule == "force_big_blue"
+        after = oracle.brute_force_solve(model.apply_trace_entry(inst, entry)[0]) is not None
+        assert after == before
 
 
 def test_kernel_result_reads_forced_sets_and_no_reason_from_its_trace():
