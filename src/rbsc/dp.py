@@ -22,14 +22,19 @@ pick):
 
   t[j][m] = min over sub within m of v[sub] + t[j - 1][m minus sub].
 
+t[1] is v itself: the pick sub = m gives v[m] + t[0][empty] = v[m], and every
+other pick is a cover of m paying for at most one red, which costs at least
+v[m].  So only layers 2 and up are computed as below.
+
 The instance is a YES exactly when the full-mask entry of layer budget_red
 is within the line budget.  Layers stop early once two consecutive layers
 coincide: the recurrence is stationary, so all later layers would be
 identical.  They also stop after as many layers as there are reds: two picks
 paying for the same red merge into one at no extra cost.
 
-Each layer is a cover product.  Every table is monotone, since a cover of a
-mask covers each of its subsets.  So the minimum above equals the minimum of
+Each later layer is a cover product; layer 2 multiplies the zeta transform
+of v by itself.  Every table is monotone, since a cover of a mask covers
+each of its subsets.  So the minimum above equals the minimum of
 v[A] + t[j - 1][B] over all pairs with A | B == m: a pair that overlaps can
 shrink B to m minus A at no extra cost.  Björklund, Husfeldt, Kaski and
 Koivisto ("Fourier meets Möbius: fast subset convolution", STOC 2007)
@@ -59,7 +64,13 @@ no line is left).  This is the disjoint-elements lower bound for set cover:
 by weak duality, a packing of elements bounds every cover from below.  No
 usable set holds two of the packed blues, so every feasible family spends
 one set on each, and a NO from the bound is a NO of the tables.  The bound
-never answers YES; those instances go on to the tables.
+never answers YES; those instances go on to the tables, and the count goes
+with them.  Every full-mask entry is a cover of every blue by usable sets,
+so none lies below it.  When the red-free table's full entry equals it, no
+red table and no layer is filled; otherwise the layers stop once the full
+entry reaches it.  The witness is the one every layer would give: where
+t[j][full] equals t[j - 1][full], reconstruction at layer j takes the empty
+submask first and adds nothing, and that is all a cut layer would do.
 
 Before dp_solve fills a table it drops every implied blue: blue i is implied
 when some other blue j lies only in sets that hold i, since then covering j
@@ -71,6 +82,13 @@ dropped blue has a kept blue below it, so a family covers every blue exactly
 when it covers the kept ones, and the tables run over the kept blues alone,
 numbered in order.  With no red budget, only the red-free table is filled,
 since no layer reads the others.
+
+Each table then runs over its undominated sets (set domination, from the
+same paper): a set is dropped when its blue mask lies inside the mask of
+another set usable in the same table, and equal masks are kept once.
+Swapping a set in a cover for one holding its blues keeps a cover of the
+same size, so no entry changes.  Reconstruction still scans every usable
+set in id order, so neither do the tie-breaks.
 
 Unreachable values use the sentinel (number of sets + 1), strictly above any
 real family size.  No argmin is stored: reconstruction recomputes each one
@@ -222,58 +240,74 @@ def _packing(masks, b: int) -> int:
     return taken.bit_count()
 
 
-def _fill(instance: Instance, usable, b: int):
-    """Fill every table bottom-up over b blues.
+def _fill(instance: Instance, usable, b: int, bound: int | None = None):
+    """Fill the tables bottom-up over b blues.
 
-    Returns per red the cover table w, the cheapest cover per mask over all
-    reds v, and the layers t.
+    Returns per red the cover table w, and the layers t; t[1], when there
+    is one, is v, the cheapest cover per mask over all reds.  bound, when
+    given, is at most the size of every cover of all b blues: the layers
+    stop once the full mask reaches it, and no red table is filled when the
+    red-free one already does.
     """
     size = 1 << b
     inf = instance.num_sets + 1
     w: dict[int | None, list[int]] = {}
-    for red, sets in usable.items():
+    for red, sets in usable.items():  # None first
+        masks = {bm for _, bm in sets}  # each once, then the undominated ones
+        masks = [bm for bm in masks if not any(bm | other == other != bm for other in masks)]
         table = [inf] * size
         table[0] = 0
         for i in reversed(range(b)):
             bit = 1 << i
-            masks = range(bit, size, bit << 1)  # the masks whose lowest blue is i
+            cells = range(bit, size, bit << 1)  # the masks whose lowest blue is i
             rests = [
-                map(table.__getitem__, map(and_, masks, repeat(~bm)))
-                for _, bm in sets
+                map(table.__getitem__, map(and_, cells, repeat(~bm)))
+                for bm in masks
                 if bm & bit
             ]
             if rests:  # 1 + the least rest, capped at the sentinel
                 table[bit::bit << 1] = map(add, map(min, repeat(inf - 1), *rests), repeat(1))
         w[red] = table
-    v = [min(col) for col in zip(*w.values())]
+        if red is None and table[-1] == bound:
+            return w, [table]  # no cover of every blue is smaller
     t = [w[None]]
     layers = min(instance.budget_red, len(w) - 1)  # at most one layer per red
     if not layers:
-        return w, v, t
+        return w, t
+    v = [min(col) for col in zip(*w.values())]
+    if v == t[0]:
+        return w, t  # stationary: every later layer is identical
+    t.append(v)
+    if layers == 1 or v[-1] == bound:
+        return w, t
 
     width = (3**b).bit_length()
     cut = (1 << (inf + 1) * width) - 1
     cap = 1 << inf * width
     pack = [1 << x * width for x in range(inf)] + [0]
-    zv = list(map(pack.__getitem__, v))
-    _transform(zv, add)
-    for _ in range(layers):
-        prev = t[-1]
-        a = list(map(pack.__getitem__, prev))
+
+    def zeta(row: list[int]) -> list[int]:
+        a = list(map(pack.__getitem__, row))
         _transform(a, add)
+        return a
+
+    zv = a = zeta(v)  # layer 1 is v, so layer 2 multiplies zv by itself
+    while True:
         a = list(map(and_, map(mul, a, zv), repeat(cut)))
         _transform(a, sub)
         cur = [((y & -y).bit_length() - 1) // width for y in map(or_, a, repeat(cap))]
-        if cur == prev:
-            break  # stationary: every later layer is identical
+        if cur == t[-1]:
+            return w, t  # stationary
         t.append(cur)
-    return w, v, t
+        if len(t) > layers or cur[-1] == bound:
+            return w, t
+        a = zeta(cur)
 
 
 def compute_tables(instance: Instance) -> DpTables:
-    """Fill both tables over every blue, implied ones too (for inspection and tests)."""
+    """Fill both tables over every blue, implied ones too, and with no bound (for tests)."""
     reds, usable = _usable(instance)
-    w, _, t = _fill(instance, usable, instance.num_blue)
+    w, t = _fill(instance, usable, instance.num_blue)
     flat = {(mask, red): value for red, table in w.items() for mask, value in enumerate(table)}
     return DpTables(instance.index.blues, reds, instance.num_sets + 1, flat, t)
 
@@ -282,20 +316,21 @@ def dp_solve(instance: Instance) -> Solution | None:
     """Decide the instance and reconstruct an optimal-cardinality witness.
 
     The tables run over the kept blues, so ties go to the smallest blue
-    submask in their numbering.  The witness must have the optimum's size
-    and pass model.certify; either failure raises AssertionError.
+    submask in their numbering.  The packing count bounds them too: the
+    layers stop once the full mask reaches it, with the witness that every
+    layer would give.  The witness must have the optimum's size and pass
+    model.certify; either failure raises AssertionError.
     """
     _, usable = _usable(instance)
     if not instance.budget_red:
         usable = {None: usable[None]}  # the red-free sets alone; no layer reads the others
     masks = {bm for sets in usable.values() for _, bm in sets}
     full = (1 << instance.num_blue) - 1
-    if full and (
-        reduce(or_, masks, 0) != full or _packing(masks, instance.num_blue) > instance.budget_lines
-    ):
+    bound = _packing(masks, instance.num_blue)
+    if full and (reduce(or_, masks, 0) != full or bound > instance.budget_lines):
         return None  # a blue in no usable set, or more blues pairwise apart than lines
     kept, usable = _drop_implied_blues(instance, usable)
-    w, v, t = _fill(instance, usable, len(kept))
+    w, t = _fill(instance, usable, len(kept), bound)
     rest = (1 << len(kept)) - 1
     optimum = t[-1][rest]
     if optimum >= instance.num_sets + 1 or optimum > instance.budget_lines:
@@ -314,7 +349,7 @@ def dp_solve(instance: Instance) -> Solution | None:
             mask &= ~bm
 
     for j in range(len(t) - 1, 0, -1):
-        prev = t[j - 1]
+        prev, v = t[j - 1], t[1]  # layer 1 is v
         part = next(
             s for s in range(rest + 1) if s & rest == s and v[s] + prev[rest ^ s] == t[j][rest]
         )

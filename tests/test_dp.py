@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import time
 import tracemalloc
 from dataclasses import replace
@@ -255,9 +256,9 @@ def _watch_fill(monkeypatch):
     calls = []
     fill = dp._fill
 
-    def watched(instance, usable, b):
+    def watched(instance, usable, b, bound=None):
         calls.append((b, list(usable)))
-        return fill(instance, usable, b)
+        return fill(instance, usable, b, bound)
 
     monkeypatch.setattr(dp, "_fill", watched)
     return calls
@@ -383,7 +384,80 @@ def test_packed_entries_stay_within_the_estimated_width(monkeypatch):
     monkeypatch.setattr(dp, "_transform", watched)
     sol = dp.dp_solve(inst)
     assert sol is not None and len(sol.chosen) == b
-    assert len(widest) == 5 and max(widest) <= width
+    assert len(widest) == 2 and max(widest) <= width
+
+
+def _agrees_with_brute_force(inst, sol):
+    best = brute_min_family_size(inst)
+    assert (sol is None) == (best is None)
+    if sol is not None:
+        assert len(sol.chosen) == best and model.verify(inst, sol.chosen).feasible
+
+
+def _watch_layers(monkeypatch):
+    """Record the red keys of w and the layers of every _fill result."""
+    results = []
+    fill = dp._fill
+
+    def watched(*args):
+        w, t = fill(*args)
+        results.append((list(w), t))
+        return w, t
+
+    monkeypatch.setattr(dp, "_fill", watched)
+    return results
+
+
+def test_one_red_budget_runs_no_transform(monkeypatch):
+    # Layer 1 is v, the cheapest cover per mask over all reds: no product.
+    def no_transform(a, op):
+        raise AssertionError("a transform ran")
+
+    monkeypatch.setattr(dp, "_transform", no_transform)
+    results = _watch_layers(monkeypatch)
+    for seed in range(60):
+        inst = generators.gen_random(seed, DIFFERENTIAL_PROFILES["abstract"])
+        inst = replace(inst, budget_red=1)
+        _agrees_with_brute_force(inst, dp.dp_solve(inst))
+    assert any(len(t) == 2 for _, t in results)
+
+
+def test_red_free_cover_at_the_packing_bound_fills_no_red_table(monkeypatch):
+    # Blues 0 and 2 share no set, so no cover has fewer than 2 sets, and the
+    # red-free sets 0 and 1 cover every blue.
+    inst = abstract_instance("BBBR", [{0, 1}, {2}, {1, 2, 3}], 2, 1)
+    assert dp._packing([0b011, 0b100, 0b110], 3) == 2
+    results = _watch_layers(monkeypatch)
+    sol = dp.dp_solve(inst)
+    assert sol is not None and sol.chosen == {0, 1}
+    _agrees_with_brute_force(inst, sol)
+    [(reds, t)] = results
+    assert reds == [None] and len(t) == 1 and t[0][-1] == 2
+
+
+def test_layers_stop_at_the_packing_bound(monkeypatch):
+    # Blues 0 and 2 share no set, so no cover has fewer than 2 sets.  Red
+    # budget 3 allows three layers; sets 0 and 1 pay for reds 4 and 5 and
+    # reach the bound at layer 2, after one product.
+    sets = [{0, 1, 4}, {2, 3, 5}, {0}, {1}, {2}, {3}, {0, 6}]
+    inst = abstract_instance("BBBBRRR", sets, 2, 3)
+    ops = []
+    transform = dp._transform
+
+    def watched(a, op):
+        ops.append(op)
+        transform(a, op)
+
+    monkeypatch.setattr(dp, "_transform", watched)
+    results = _watch_layers(monkeypatch)
+    sol = dp.dp_solve(inst)
+    assert sol is not None and sol.chosen == {0, 1}
+    _agrees_with_brute_force(inst, sol)
+    [(_, t)] = results
+    assert [layer[-1] for layer in t] == [4, 3, 2]
+    assert ops == [operator.add, operator.sub]
+    ops.clear()  # without the bound, a second product finds layer 3 stationary
+    assert dp.compute_tables(inst).t == t and ops == [operator.add, operator.sub] * 2
 
 
 def test_no_table_without_lines_or_with_an_uncovered_blue(monkeypatch):
