@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations, product
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import abstract_instance, geometric_instance, intersection_graph
 from good_tuples import GoodTuple, check_conforming, enumerate_good_tuples
 from rbsc import cli, fpt, generators, model, oracle
-from rbsc.errors import DegreeExceeded, PreconditionViolated
+from rbsc.errors import DegreeExceeded, PreconditionViolated, RbscError
 from rbsc.fpt import SolveStats
 from rbsc.model import BLUE, RED
 
@@ -371,6 +372,17 @@ def test_solve_kl_kr_counts_tree_nodes():
     assert (stats.branches, stats.pruned) == (6, 3)
 
 
+def test_one_blue_core_ties_go_to_the_largest_block():
+    # sets 0 and 1 share red 2, set 2 holds blue 0 alone: the block {blue 0, blue 1}
+    # costs one red, and so do the blocks {blue 0} (set 2) and {blue 1} (set 1)
+    inst = abstract_instance("BBR", [{0, 2}, {1, 2}, {0}], 2, 1)
+    for solver in (fpt.solve_kl_kr, fpt.solve_one_blue_special):
+        stats = SolveStats()
+        sol = solver(inst, stats=stats)
+        assert sol is not None and sol.chosen == {0, 1}, solver.__name__
+        assert (stats.branches, stats.pruned, stats.tuples) == (3, 0, 4), solver.__name__
+
+
 def test_solve_kl_kr_leaf_pays_only_fresh_reds():
     # the two-blue set {0, 1} pays for red 3; the leaf's one-blue set {2, 3} adds no red,
     # so the budget of 1 holds: the leaf core sees the state (blue 2, no red)
@@ -509,3 +521,38 @@ def test_one_blue_family_structure():
             union |= blues
         assert union == inst.blue_ids
     assert found > 30
+
+
+def _outcome(solver, inst) -> str:
+    stats = SolveStats()
+    try:
+        sol = solver(inst, stats=stats)
+    except RbscError as exc:
+        head = f"error {type(exc).__name__}: {exc}"
+    else:
+        head = "no" if sol is None else "yes " + " ".join(map(str, sorted(sol.chosen)))
+    return f"{head} | {stats.branches} {stats.pruned} {stats.tuples}"
+
+
+@pytest.mark.parametrize(
+    "solver, profile, digest",
+    [
+        ("solve_kl_kr", "default", "d9e6a256ae58d9afc3799e9683dc8e198410f9fe19ec0f30a544e8b7c8cf1a49"),
+        ("solve_kl_kr", "one-blue", "e45c1f4d71c435b363df301daada22d3516f814c36c772217a1a4119719a063c"),
+        ("solve_kl_kr", "two-blue", "602ff087de1d0035a94630e1bd19bd9f8361e432602bf44404262e9af06f5012"),
+        (
+            "solve_one_blue_special",
+            "one-blue",
+            "1a78821d04a9d22d0c341e500a39250985ebd1bc370af63d49194c5287e5441a",
+        ),
+    ],
+)
+def test_decisions_witnesses_and_counters_are_pinned(solver, profile, digest):
+    # One line per seed: the decision with the sorted witness, or the error type
+    # and text, then branches, pruned and tuples.  Any change to what the solver
+    # returns, to its tie-breaks or to the work it counts changes the digest.
+    lines = "".join(
+        _outcome(getattr(fpt, solver), generators.gen_random(seed, cli.PROFILES[profile])) + "\n"
+        for seed in range(300)
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
