@@ -9,10 +9,11 @@ therefore works per blue mask:
   * it grows red-connected families one blue at a time (a new set must share
     a red with the reds already covered), memoized on the state (blue mask,
     covered-red mask), and drops every state above budget_red;
-  * a blue mask's demand is the fewest reds any of its states covers;
-  * a min-sum set partition over blue masks, g[m] = min over blocks B of m
-    holding m's lowest blue of demand[B] + g[m - B], combines the blocks,
-    and the answer is YES iff g[all blues] <= budget_red.
+  * a blue mask some state reaches is a block, and its cost is the fewest
+    reds any of its states covers;
+  * a min-sum set partition over the blocks that exist, g[m] = min over
+    blocks B within m holding m's lowest blue of cost[B] + g[m - B],
+    combines them, and the answer is YES iff g[all blues] <= budget_red.
 
 General instances are reduced to the one-blue case: after kernelization at
 most budget_lines^2 blue elements survive, so at most budget_lines^4 sets
@@ -33,7 +34,7 @@ leaf runs the one-blue search on all of them.
 Searches are deterministic: the tree tries sets in ascending id order before
 marking, the one-blue search grows states blue by blue in id order and keeps
 the first state with the fewest reds per blue mask, and the partition keeps
-the first block of least total.  Every solver here hands its YES family,
+the largest block of least total.  Every solver here hands its YES family,
 kernel-forced sets included, to model.certify on the original instance.
 """
 
@@ -70,55 +71,49 @@ def _solve_one_blue_core(
     groups[i] lists (set id, red mask) of the sets holding the i-th blue, in
     id order.  The family takes one set per blue, and _search's line bound
     has cut every leaf whose marked blues exceed the lines left, so no line
-    budget is checked here.
+    budget is checked here.  The partition runs over the blocks that exist,
+    and a tie goes to the largest block.
     """
-    b = len(groups)
     # via[(blue mask, red mask)]: the state and the set that first reached it
     via: dict[tuple[int, int], tuple[tuple[int, int] | None, int]] = {}
-    layer: list[tuple[int, int]] = []
+    queue: list[tuple[int, int]] = []
     for i, group in enumerate(groups):
         for sid, reds in group:
             state = (1 << i, reds)
             if reds.bit_count() <= budget_red and state not in via:
                 via[state] = (None, sid)
-                layer.append(state)
-    # demand[blue mask]: the fewest reds of its states; cheapest: the first state with that few
-    demand: dict[int, int] = {}
+                queue.append(state)
+    # cheapest[blue mask]: the first state with the fewest reds; the queue grows as it is read
     cheapest: dict[int, tuple[int, int]] = {}
-    while layer:
-        grown: list[tuple[int, int]] = []
-        for state in layer:
-            blues, reds = state
-            cost = reds.bit_count()
-            if cost < demand.get(blues, budget_red + 1):
-                demand[blues], cheapest[blues] = cost, state
-            for i, group in enumerate(groups):
-                if blues >> i & 1:
-                    continue
-                for sid, more in group:
-                    if more & reds:
-                        nxt = (blues | 1 << i, reds | more)
-                        if nxt not in via and nxt[1].bit_count() <= budget_red:
-                            via[nxt] = (state, sid)
-                            grown.append(nxt)
-        layer = grown
+    for state in queue:
+        blues, reds = state
+        if blues not in cheapest or reds.bit_count() < cheapest[blues][1].bit_count():
+            cheapest[blues] = state
+        for i, group in enumerate(groups):
+            if blues >> i & 1:
+                continue
+            for sid, more in group:
+                if more & reds:
+                    nxt = (blues | 1 << i, reds | more)
+                    if nxt not in via and nxt[1].bit_count() <= budget_red:
+                        via[nxt] = (state, sid)
+                        queue.append(nxt)
     stats.tuples += len(via)
+    # blocks[low]: (mask, fewest reds) of each blue mask reached with lowest blue low, largest first
+    blocks: dict[int, list[tuple[int, int]]] = {}
+    for mask in sorted(cheapest, reverse=True):
+        blocks.setdefault(mask & -mask, []).append((mask, cheapest[mask][1].bit_count()))
     # g[m]: fewest reds over partitions of m into blocks; pick[m]: the block holding m's lowest blue
-    full = (1 << b) - 1
+    full = (1 << len(groups)) - 1
     g = [0] * (full + 1)
     pick = [0] * (full + 1)
     for m in range(1, full + 1):
-        low = m & -m
-        rest = m ^ low
         top = budget_red + 1
-        sub = rest
-        while True:
-            val = demand.get(sub | low, top) + g[rest ^ sub]
-            if val < top:
-                top, pick[m] = val, sub | low
-            if not sub:
-                break
-            sub = (sub - 1) & rest
+        for block, cost in blocks.get(m & -m, ()):
+            if block & m == block:
+                val = cost + g[m ^ block]
+                if val < top:
+                    top, pick[m] = val, block
         g[m] = top
     if g[full] > budget_red:
         return None

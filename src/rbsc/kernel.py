@@ -3,7 +3,7 @@
 Each rule looks at an instance and returns the TraceEntry of its edit, or
 None when it has nothing to do; model.apply_trace_entry is the one place
 that carries an edit out.  Pipelines cycle the rules in a fixed order until
-a whole pass returns None, so traces are reproducible and replay_trace
+every rule in a row returns None, so traces are reproducible and replay_trace
 rebuilds the kernel.  Rules that commit a set to the solution list it in
 forced_sets and deduct its red weight / one line from the budgets.
 Whenever an edit deletes elements, empty and duplicate sets are cleaned up
@@ -13,6 +13,7 @@ at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import cycle
 
 from . import model
 from .errors import BoundedBudget, NotLinearSystem
@@ -124,7 +125,7 @@ def _apply(instance: Instance, entry: TraceEntry, trace) -> Instance:
 
 
 def _run_cycle(instance: Instance, rules) -> KernelResult:
-    """Apply the rules in order, pass after pass, until a whole pass returns None.
+    """Apply the rules in order, round and round, until each in turn returns None.
 
     A rule must return an entry only when applying it changes the instance;
     otherwise this loop never ends.  Every entry goes to the trace; an entry
@@ -132,22 +133,23 @@ def _run_cycle(instance: Instance, rules) -> KernelResult:
     first no_certificate entry ends the trace and makes the result a NO.
     """
     trace: list[TraceEntry] = []
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            entry = rule(instance)
-            if entry is None:
-                continue
-            if entry.rule == "no_certificate":
-                trace.append(entry)
-                return KernelResult(None, trace)
-            instance = _apply(instance, entry, trace)
-            if entry.removed_elements:
-                clean = model.cleanup(instance)
-                if clean is not None:
-                    instance = _apply(instance, clean, trace)
-            changed = True
+    idle = 0  # rules in a row that returned None on the current instance; all: a fixed point
+    for rule in cycle(rules):
+        if idle == len(rules):
+            break
+        entry = rule(instance)
+        if entry is None:
+            idle += 1
+            continue
+        if entry.rule == "no_certificate":
+            trace.append(entry)
+            return KernelResult(None, trace)
+        instance = _apply(instance, entry, trace)
+        if entry.removed_elements:
+            clean = model.cleanup(instance)
+            if clean is not None:
+                instance = _apply(instance, clean, trace)
+        idle = 0
     return KernelResult(instance, trace)
 
 

@@ -402,6 +402,20 @@ def test_solve_two_blue_never_marks_a_blue_without_one_blue_sets():
     assert (stats.branches, stats.pruned, stats.tuples) == (5, 1, 0)
 
 
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_set_cover_chains_reach_the_one_blue_core(n):
+    # a cycle of n two-element sets needs ceil(n / 2) of them.  As lines, each set is a
+    # red and each of its elements a one-blue line through that red, so the one-blue core
+    # decides the chain on n blues, its only blocks single blues and the pairs of one set
+    sets = tuple(frozenset({u, u % n + 1}) for u in range(1, n + 1))
+    need = -(-n // 2)
+    yes = generators.gen_setcover_lines(generators.SetCoverInstance(n, sets, need))
+    sol = fpt.solve_kl_kr(yes)
+    assert sol is not None and model.verify(yes, sol.chosen).feasible
+    no = generators.gen_setcover_lines(generators.SetCoverInstance(n, sets, need - 1))
+    assert fpt.solve_kl_kr(no) is None
+
+
 def test_solve_kl_kr_geo_cliff_stays_small():
     # 18 grid points, k_l = 5 and 69 multi-blue sets after kernelization: enumerating
     # every subfamily up to size k_l visited 12,157,824 of them for this NO
