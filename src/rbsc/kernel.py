@@ -133,7 +133,7 @@ def _run_cycle(instance: Instance, rules) -> KernelResult:
     first no_certificate entry ends the trace and makes the result a NO.
     """
     trace: list[TraceEntry] = []
-    idle = 0  # rules in a row that returned None on the current instance; all: a fixed point
+    idle = 0  # rules in a row that found nothing on this instance; all of them: a fixed point
     for rule in cycle(rules):
         if idle == len(rules):
             break
