@@ -14,6 +14,8 @@ therefore works per blue mask:
   * a min-sum set partition over the blocks that exist, g[m] = min over
     blocks B within m holding m's lowest blue of cost[B] + g[m - B],
     combines them, and the answer is YES iff g[all blues] <= budget_red.
+    Per m it reads the blocks holding m's lowest blue, or m's submasks
+    holding it where those are under half as many, largest first either way.
 
 General instances are reduced to the one-blue case: after kernelization at
 most budget_lines^2 blue elements survive, so at most budget_lines^4 sets
@@ -26,10 +28,11 @@ every multi-blue set holding the blue and no subfamily is reached twice.  A
 node dies when the chosen sets cover more reds than budget_red, or when
 chosen + marked + ceil(open / widest) exceeds budget_lines (widest: the most
 blues in one multi-blue set).  Each leaf pays for its chosen sets, deletes
-what they cover, and runs the one-blue search on the marked blues.  An
-instance whose sets all hold one blue goes through the same tree: it has no
-multi-blue set to choose, so the tree marks its blues in order and its one
-leaf runs the one-blue search on all of them.
+what they cover along with every set sharing a blue with them, and runs the
+one-blue search on the marked blues.  An instance whose sets all hold one
+blue goes through the same tree: it has no multi-blue set to choose, so the
+tree marks its blues in order and its one leaf runs the one-blue search on
+all of them.
 
 Searches are deterministic: the tree tries sets in ascending id order before
 marking, the one-blue search grows states blue by blue in id order and keeps
@@ -71,8 +74,7 @@ def _solve_one_blue_core(
     groups[i] lists (set id, red mask) of the sets holding the i-th blue, in
     id order.  The family takes one set per blue, and _search's line bound
     has cut every leaf whose marked blues exceed the lines left, so no line
-    budget is checked here.  The partition runs over the blocks that exist,
-    and a tie goes to the largest block.
+    budget is checked here.
     """
     # via[(blue mask, red mask)]: the state and the set that first reached it
     via: dict[tuple[int, int], tuple[tuple[int, int] | None, int]] = {}
@@ -99,22 +101,38 @@ def _solve_one_blue_core(
                         via[nxt] = (state, sid)
                         queue.append(nxt)
     stats.tuples += len(via)
-    # blocks[low]: (mask, fewest reds) of each blue mask reached with lowest blue low, largest first
-    blocks: dict[int, list[tuple[int, int]]] = {}
-    for mask in sorted(cheapest, reverse=True):
-        blocks.setdefault(mask & -mask, []).append((mask, cheapest[mask][1].bit_count()))
-    # g[m]: fewest reds over partitions of m into blocks; pick[m]: the block holding m's lowest blue
+    # cost[block]: see the module docstring; blocks[low]: those with lowest blue low, largest first
+    cost = {mask: state[1].bit_count() for mask, state in cheapest.items()}
+    blocks: dict[int, list[int]] = {}
+    for mask in sorted(cost, reverse=True):
+        blocks.setdefault(mask & -mask, []).append(mask)
+    # g[m]: fewest reds over partitions of m into blocks, budget_red + 1 if none fits;
+    # pick[m]: the block holding m's lowest blue
     full = (1 << len(groups)) - 1
-    g = [0] * (full + 1)
+    g = [0] + [budget_red + 1] * full
     pick = [0] * (full + 1)
-    for m in range(1, full + 1):
-        top = budget_red + 1
-        for block, cost in blocks.get(m & -m, ()):
-            if block & m == block:
-                val = cost + g[m ^ block]
-                if val < top:
-                    top, pick[m] = val, block
-        g[m] = top
+    # masks by lowest blue, highest first: m ^ block has a higher one than m
+    for low, listed in sorted(blocks.items(), reverse=True):
+        # m of at most walk blues has under half as many submasks holding low as listed has blocks
+        walk = (len(listed) - 1).bit_length() - 1
+        for m in range(low, full + 1, 2 * low):
+            top = budget_red + 1
+            if m.bit_count() > walk:
+                for block in listed:
+                    if block & m == block:
+                        val = cost[block] + g[m ^ block]
+                        if val < top:
+                            top, pick[m] = val, block
+            else:  # walk those, largest first: a submask step costs about two block tests
+                rest = sub = m ^ low
+                while True:
+                    val = cost.get(sub | low, top) + g[rest ^ sub]
+                    if val < top:
+                        top, pick[m] = val, sub | low
+                    if not sub:
+                        break
+                    sub = (sub - 1) & rest
+            g[m] = top
     if g[full] > budget_red:
         return None
     family: list[int] = []
@@ -139,19 +157,8 @@ def _require_finite_budget(instance: Instance):
 
 
 def _search(reduced: Instance, stats: SolveStats | None) -> list[int] | None:
-    """The sets of a solution, or None: the multi-blue tree, then the one-blue search.
-
-    A node takes its lowest blue that is neither covered by a chosen set nor
-    marked; its children choose each set containing that blue in id order,
-    the k-th child excluding the k-1 sets before it, and a last child, when
-    some one-blue set holds the blue, marks it as left to such a set,
-    excluding every multi-blue set that contains it.  A node is cut when its
-    chosen sets cover more than budget_red reds, or when chosen + marked +
-    ceil(open / widest) exceeds budget_lines, widest being the most blues in
-    any multi-blue set.  A leaf, where no blue is open, deletes everything
-    the chosen sets cover along with every set sharing a blue with them and
-    runs the one-blue search on the marked blues with the remaining budgets.
-    """
+    """The sets of a solution, or None: the multi-blue tree of the module
+    docstring, whose leaves run the one-blue search with the budgets left."""
     k_l, k_r = reduced.budget_lines, reduced.budget_red
     ix = reduced.index
     # by_blue[i]: (sid, blue mask, red mask, own bit) of every multi-blue set
@@ -208,12 +215,8 @@ def solve_one_blue_special(instance: Instance, *, stats: SolveStats | None = Non
     """Decide an instance in which every set covers exactly one blue element.
 
     The search of solve_kl_kr runs on the instance as given, without the
-    kernel, so the family need not be a linear set system.  With no
-    multi-blue set, the tree marks every blue (a blue in no set is a NO
-    there) and is cut at once when there are more blues than the line
-    budget; its one leaf finds, for every blue mask, the fewest reds of a
-    red-connected family with one set per blue, and a min-sum partition of
-    all blues into such masks decides the instance.
+    kernel, so the family need not be a linear set system.  A blue in no set
+    is a NO, and more blues than the line budget cut the tree at its root.
     """
     _require_unweighted(instance)
     _require_finite_budget(instance)

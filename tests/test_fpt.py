@@ -383,6 +383,23 @@ def test_one_blue_core_ties_go_to_the_largest_block():
         assert (stats.branches, stats.pruned, stats.tuples) == (3, 0, 4), solver.__name__
 
 
+def test_one_blue_core_ties_go_to_the_largest_block_where_blocks_outnumber_submasks():
+    # blues 0..5, reds 6..14.  The cheapest partition takes {0, 2, 4, 5} (sets 0..3,
+    # red 8) and leaves {1, 3}.  Six blocks have lowest blue 1: {1}, {1, 2}, {1, 3},
+    # {1, 4}, {1, 5} and {1, 4, 5} (set 4 shares red 6 with sets 8, 9 and 10; sets 5
+    # and 7 share red 10), more than twice the two submasks of {1, 3} holding it, so
+    # the core walks those submasks.  The block {1, 3} (sets 5 and 7, reds 9 and 10)
+    # ties with {1} + {3} (sets 4 and 6).
+    sets = [{0, 8}, {2, 8}, {4, 8}, {5, 8}, {1, 6}, {1, 9, 10}, {3, 7}, {3, 10}]
+    sets += [{2, 6, 11, 12}, {4, 6, 13}, {5, 6, 14}]
+    inst = abstract_instance("B" * 6 + "R" * 9, sets, 6, 3)
+    for solver in (fpt.solve_kl_kr, fpt.solve_one_blue_special):
+        stats = SolveStats()
+        sol = solver(inst, stats=stats)
+        assert sol is not None and sol.chosen == {0, 1, 2, 3, 5, 7}, solver.__name__
+        assert (stats.branches, stats.pruned, stats.tuples) == (7, 0, 28), solver.__name__
+
+
 def test_solve_kl_kr_leaf_pays_only_fresh_reds():
     # the two-blue set {0, 1} pays for red 3; the leaf's one-blue set {2, 3} adds no red,
     # so the budget of 1 holds: the leaf core sees the state (blue 2, no red)
