@@ -14,8 +14,8 @@ therefore works per blue mask:
   * a min-sum set partition over the blocks that exist, g[m] = min over
     blocks B within m holding m's lowest blue of cost[B] + g[m - B],
     combines them, and the answer is YES iff g[all blues] <= budget_red.
-    Per m it reads the blocks holding m's lowest blue, or m's submasks
-    holding it where those are under half as many, largest first either way.
+    It pushes each block to the masks it can start: B relaxes B + x for
+    every x among the blues above B's lowest and outside B.
 
 General instances are reduced to the one-blue case: after kernelization at
 most budget_lines^2 blue elements survive, so at most budget_lines^4 sets
@@ -106,40 +106,30 @@ def _solve_one_blue_core(
     blocks: dict[int, list[int]] = {}
     for mask in sorted(cost, reverse=True):
         blocks.setdefault(mask & -mask, []).append(mask)
-    # g[m]: fewest reds over partitions of m into blocks, budget_red + 1 if none fits;
-    # pick[m]: the block holding m's lowest blue
+    # g[m]: fewest reds over partitions of m into blocks, budget_red + 1 if none fits
     full = (1 << len(groups)) - 1
     g = [0] + [budget_red + 1] * full
-    pick = [0] * (full + 1)
-    # masks by lowest blue, highest first: m ^ block has a higher one than m
+    # lowest blues highest first, so every rest x, above low and outside the block, is final
     for low, listed in sorted(blocks.items(), reverse=True):
-        # m of at most walk blues has under half as many submasks holding low as listed has blocks
-        walk = (len(listed) - 1).bit_length() - 1
-        for m in range(low, full + 1, 2 * low):
-            top = budget_red + 1
-            if m.bit_count() > walk:
-                for block in listed:
-                    if block & m == block:
-                        val = cost[block] + g[m ^ block]
-                        if val < top:
-                            top, pick[m] = val, block
-            else:  # walk those, largest first: a submask step costs about two block tests
-                rest = sub = m ^ low
-                while True:
-                    val = cost.get(sub | low, top) + g[rest ^ sub]
-                    if val < top:
-                        top, pick[m] = val, sub | low
-                    if not sub:
-                        break
-                    sub = (sub - 1) & rest
-            g[m] = top
+        above = full & -(low << 1)
+        for block in listed:
+            c = cost[block]
+            free = x = above & ~block
+            while True:
+                if c + g[x] < g[block | x]:
+                    g[block | x] = c + g[x]
+                if not x:
+                    break
+                x = (x - 1) & free
     if g[full] > budget_red:
         return None
     family: list[int] = []
     m = full
     while m:
-        step = cheapest[pick[m]]
-        m ^= pick[m]
+        # the largest block holding m's lowest blue whose total is g[m]
+        block = next(b for b in blocks[m & -m] if b & m == b and cost[b] + g[m ^ b] == g[m])
+        step = cheapest[block]
+        m ^= block
         while step is not None:
             step, sid = via[step]
             family.append(sid)

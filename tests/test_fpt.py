@@ -387,9 +387,9 @@ def test_one_blue_core_ties_go_to_the_largest_block_where_blocks_outnumber_subma
     # blues 0..5, reds 6..14.  The cheapest partition takes {0, 2, 4, 5} (sets 0..3,
     # red 8) and leaves {1, 3}.  Six blocks have lowest blue 1: {1}, {1, 2}, {1, 3},
     # {1, 4}, {1, 5} and {1, 4, 5} (set 4 shares red 6 with sets 8, 9 and 10; sets 5
-    # and 7 share red 10), more than twice the two submasks of {1, 3} holding it, so
-    # the core walks those submasks.  The block {1, 3} (sets 5 and 7, reds 9 and 10)
-    # ties with {1} + {3} (sets 4 and 6).
+    # and 7 share red 10), so the tie below is at a lowest blue held by six blocks.
+    # The block {1, 3} (sets 5 and 7, reds 9 and 10) ties with {1} + {3} (sets 4
+    # and 6).
     sets = [{0, 8}, {2, 8}, {4, 8}, {5, 8}, {1, 6}, {1, 9, 10}, {3, 7}, {3, 10}]
     sets += [{2, 6, 11, 12}, {4, 6, 13}, {5, 6, 14}]
     inst = abstract_instance("B" * 6 + "R" * 9, sets, 6, 3)
@@ -431,6 +431,27 @@ def test_set_cover_chains_reach_the_one_blue_core(n):
     assert sol is not None and model.verify(yes, sol.chosen).feasible
     no = generators.gen_setcover_lines(generators.SetCoverInstance(n, sets, need - 1))
     assert fpt.solve_kl_kr(no) is None
+
+
+def test_clique_reductions_decide_through_the_one_blue_core():
+    # k classes of 3 vertices, each class pair joined by a random perfect matching, so
+    # the graph is (k - 1)-regular; planted, vertex 0 of every class is matched across
+    # all pairs.  Both reductions leave one-blue instances whose core sees most of the
+    # 2^b blue masks as blocks
+    rng = random.Random(1)
+    for k, planted in product((4, 5), (False, True)):
+        classes = tuple(tuple(range(3 * c, 3 * c + 3)) for c in range(k))
+        edges = set()
+        for a, b in combinations(classes, 2):
+            perm = [0, *rng.sample((1, 2), 2)] if planted else rng.sample(range(3), 3)
+            edges.update(zip(a, (b[i] for i in perm)))
+        graph = generators.MulticoloredGraph(classes, frozenset(edges))
+        clique = generators.has_multicolored_clique(graph)
+        assert clique or not planted
+        for inst in (generators.gen_mcc_setsystem(graph), generators.gen_mcc_lines(graph, k - 1)):
+            sol = fpt.solve_kl_kr(inst)
+            assert (sol is not None) == clique, (k, planted)
+            assert sol is None or model.verify(inst, sol.chosen).feasible
 
 
 def test_solve_kl_kr_geo_cliff_stays_small():
