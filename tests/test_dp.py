@@ -366,6 +366,49 @@ def test_cover_product_layers_on_tie_saturated_instance():
     assert sol is not None and sol.chosen == {0}
 
 
+def test_tables_match_full_tabulation_on_deep_covers():
+    # Mostly single blues, so covers run deep: the full mask needs 9 sets
+    # under red 10 in the first family.  Both families repeat a blue mask
+    # and nest one inside another, and their last blues lie in no red-free
+    # set, so the red-free table holds the sentinel.
+    deep = [
+        {0}, {1}, {2}, {3}, {3}, {4}, {4, 5}, {5}, {6}, {7}, {8}, {9, 10}, {8, 9, 11}, {2, 11},
+    ]
+    deeper = [
+        *({i} for i in range(10)), {0, 1}, {0, 1}, {2, 3, 4}, {3, 4},
+        {10, 12}, {9, 10, 12}, {11, 13}, {10, 11, 14},
+    ]
+    instances = [
+        abstract_instance("B" * 10 + "RR", deep, 10, 1),
+        abstract_instance("B" * 10 + "RR", deep, 10, 2),
+        abstract_instance("B" * 12 + "RRR", deeper, 12, 1),
+        abstract_instance("B" * 12 + "RRR", deeper[:-1], 12, 2),
+    ]
+    for inst in instances:
+        tabs = dp.compute_tables(inst)
+        blues, reds, inf, reference = _full_tabulation(inst)
+        full = (1 << len(blues)) - 1
+        assert tabs.w == reference
+        assert tabs.t == _reference_layers(inst)
+        assert reference[(full, None)] == inf
+    assert dp.compute_tables(instances[0]).w[((1 << 10) - 1, 10)] == 9
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_set_cover_chains_through_dp(n):
+    # A cycle of n two-element sets needs ceil(n / 2) of them.  As lines,
+    # each set is a red and each of its elements a one-blue line through
+    # that red, so a cover takes n lines.
+    sets = tuple(frozenset({u, u % n + 1}) for u in range(1, n + 1))
+    need = -(-n // 2)
+    yes = generators.gen_setcover_lines(generators.SetCoverInstance(n, sets, need))
+    sol = dp.dp_solve(yes)
+    assert sol is not None and len(sol.chosen) == n
+    assert model.verify(yes, sol.chosen).feasible
+    no = generators.gen_setcover_lines(generators.SetCoverInstance(n, sets, need - 1))
+    assert dp.dp_solve(no) is None
+
+
 def test_packed_entries_stay_within_the_estimated_width(monkeypatch):
     # One-blue sets in a chain: a cover uses nearly every set, so two layers
     # sum to about twice the sentinel.  Cutting the products keeps every
