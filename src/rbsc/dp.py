@@ -7,13 +7,29 @@ Two tables over blue-element bitmasks drive the decision:
   t[j][mask]    minimum family size covering the mask while touching at
                 most j red elements.
 
-Both are flat lists filled bottom-up, the set-cover program over subsets
-(Cygan et al., Parameterized Algorithms, 2015, section 6.1).  Every cover of
-a mask holds a set containing the mask's lowest blue, and that set plus a
-cover of the rest is a cover, so w[red][mask] is one more than the least
-w[red][mask minus the set's blues] over the usable sets holding that blue.
-Masks are filled by lowest blue, highest first, so each entry reads only
-entries already filled.
+Each w[red] is held as its level sets, the set-cover program over subsets
+(Cygan et al., Parameterized Algorithms, 2015, section 6.1) run on all 2^b
+masks at once.  Level j is one 2^b-bit integer whose bit m is set when mask
+m has a cover by at most j of the table's usable sets, and w[red][mask] is
+the least level holding the mask.  Level 0 holds the empty mask alone;
+level j + 1 is the OR, over the usable blue masks S, of ext_S(level j),
+which for each blue i of S does
+
+  ext |= (ext << 2^i) & has[i],
+
+where has[i] holds every mask containing blue i.  Every level is downward
+closed, since a cover of a mask covers each of its subsets, so ext_S(D) is
+exactly the masks m with m minus S in D, and a cover of m by at most j + 1
+sets is one set plus a cover of the rest by at most j.  The levels stop
+once one holds every mask or equals the one below; a minimal cover takes at
+most one set per blue, so there are at most b + 1.  v's levels (below) are
+the OR of the tables' levels.
+
+Only w[None], which is t[0], and v are decoded into lists.  Each level
+becomes one 0/1 byte per mask; summed as base-256 integers, byte m counts
+the levels holding mask m.  The count is at most b + 1 < 256, so no byte
+carries into the next, and a lookup turns it into the least level holding
+the mask, or the sentinel when no level does.
 
 t[0] equals w[None]; a later layer picks the blue subset handled by sets
 sharing one red element, at its cheapest red (v[sub], the least w[red][sub]),
@@ -83,16 +99,11 @@ when it covers the kept ones, and the tables run over the kept blues alone,
 numbered in order.  With no red budget, only the red-free table is filled,
 since no layer reads the others.
 
-Each table then runs over its undominated sets (set domination, from the
-same paper): a set is dropped when its blue mask lies inside the mask of
-another set usable in the same table, and equal masks are kept once.
-Swapping a set in a cover for one holding its blues keeps a cover of the
-same size, so no entry changes.  Reconstruction still scans every usable
-set in id order, so neither do the tie-breaks.
-
 Unreachable values use the sentinel (number of sets + 1), strictly above any
 real family size.  No argmin is stored: reconstruction recomputes each one
-from the tables, breaking ties toward the smallest set id, then the
+from the tables, reading w[red][mask] as the least level holding the mask
+(so a set S continues a cover of the mask when level w[red][mask] - 1
+holds the mask minus S), breaking ties toward the smallest set id, then the
 smallest red (None first), then the smallest blue submask, so witnesses are
 reproducible.
 """
@@ -113,6 +124,8 @@ from .model import Instance, Solution
 # 3.6 s at 52 MB resident, 18 blues and 25 sets (65.5 MB) in 8.5 s at 90 MB.
 MAX_TABLE_BYTES = 1 << 26
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its byte value
+
 
 @dataclass
 class DpTables:
@@ -128,7 +141,9 @@ def table_bytes(instance: Instance) -> int:
 
     Each holds 2^b integers of (sentinel + 1) * W bits and a 28-byte header.
     b counts every blue, before implied ones are dropped, so the estimate is
-    an upper bound and depends on the instance alone.
+    an upper bound and depends on the instance alone.  The cover tables'
+    levels take at most (b + 1) * 2^b bits per table, below the layer
+    lists, so the estimate still bounds the memory.
     """
     b = len(instance.index.blues)
     return 2 * (1 << b) * ((instance.num_sets + 2) * (3**b).bit_length() // 8 + 28)
@@ -240,41 +255,92 @@ def _packing(masks, b: int) -> int:
     return taken.bit_count()
 
 
+def _holding(b: int) -> list[int]:
+    """Per blue i, the 2^b-bit integer whose bit m is set when mask m holds i.
+
+    Runs of 2^i clear and 2^i set bits alternate; the pattern is doubled up
+    to 2^b bits.
+    """
+    has = []
+    for i in range(b):
+        pattern, period = (1 << (1 << i)) - 1 << (1 << i), 2 << i
+        while period < 1 << b:
+            pattern |= pattern << period
+            period <<= 1
+        has.append(pattern)
+    return has
+
+
+def _levels(sets, has: list[int]) -> list[int]:
+    """The level sets of one cover table, from its usable (set id, blue mask) pairs.
+
+    Level j is a 2^b-bit integer whose bit m is set when mask m has a cover
+    by at most j of the sets.  Each level extends the one below by any one
+    set; the list stops at the first level that holds every mask or equals
+    the one below.
+    """
+    everything = (1 << (1 << len(has))) - 1
+    steps = [[(1 << i, has[i]) for i in model.bits(bm)] for bm in {bm for _, bm in sets}]
+    levels = [1]  # only the empty mask is covered by no set
+    while levels[-1] != everything:
+        cur = levels[-1]
+        nxt = cur
+        for pairs in steps:
+            ext = cur
+            for shift, held in pairs:
+                ext |= (ext << shift) & held
+            nxt |= ext
+        if nxt == cur:
+            break
+        levels.append(nxt)
+    return levels
+
+
+def _decode(levels: list[int], size: int, inf: int) -> list[int]:
+    """The table whose entry m is the least level holding mask m, else inf.
+
+    Each level becomes one 0/1 byte per mask; summed as base-256 integers,
+    byte m counts the levels holding m, with no carry since there are at
+    most b + 1 < 256 levels.
+    """
+    counts = sum(
+        int.from_bytes(format(d, f"0{size}b")[::-1].encode().translate(_BIT_BYTES), "little")
+        for d in levels
+    )
+    value = [inf, *range(len(levels) - 1, -1, -1)]
+    return list(map(value.__getitem__, counts.to_bytes(size, "little")))
+
+
+def _level(levels: list[int], j: int) -> int:
+    """The masks with a cover by at most j sets: level j, or the last level."""
+    return levels[min(j, len(levels) - 1)]
+
+
 def _fill(instance: Instance, usable, b: int, bound: int | None = None):
     """Fill the tables bottom-up over b blues.
 
-    Returns per red the cover table w, and the layers t; t[1], when there
-    is one, is v, the cheapest cover per mask over all reds.  bound, when
-    given, is at most the size of every cover of all b blues: the layers
-    stop once the full mask reaches it, and no red table is filled when the
-    red-free one already does.
+    Returns per red the levels of the cover table w, and the layers t; t[0]
+    is w[None] decoded, and t[1], when there is one, is v, the cheapest
+    cover per mask over all reds.  bound, when given, is at most the size
+    of every cover of all b blues: the layers stop once the full mask
+    reaches it, and no red table is filled when the red-free one already
+    does.
     """
     size = 1 << b
     inf = instance.num_sets + 1
-    w: dict[int | None, list[int]] = {}
-    for red, sets in usable.items():  # None first
-        masks = {bm for _, bm in sets}  # each once, then the undominated ones
-        masks = [bm for bm in masks if not any(bm | other == other != bm for other in masks)]
-        table = [inf] * size
-        table[0] = 0
-        for i in reversed(range(b)):
-            bit = 1 << i
-            cells = range(bit, size, bit << 1)  # the masks whose lowest blue is i
-            rests = [
-                map(table.__getitem__, map(and_, cells, repeat(~bm)))
-                for bm in masks
-                if bm & bit
-            ]
-            if rests:  # 1 + the least rest, capped at the sentinel
-                table[bit::bit << 1] = map(add, map(min, repeat(inf - 1), *rests), repeat(1))
-        w[red] = table
-        if red is None and table[-1] == bound:
-            return w, [table]  # no cover of every blue is smaller
-    t = [w[None]]
+    has = _holding(b)
+    w: dict[int | None, list[int]] = {None: _levels(usable[None], has)}
+    t = [_decode(w[None], size, inf)]
+    if t[0][-1] == bound:
+        return w, t  # no cover of every blue is smaller
+    w.update((red, _levels(sets, has)) for red, sets in usable.items() if red is not None)
     layers = min(instance.budget_red, len(w) - 1)  # at most one layer per red
     if not layers:
         return w, t
-    v = [min(col) for col in zip(*w.values())]
+    depth = max(map(len, w.values()))
+    v = _decode(
+        [reduce(or_, (_level(levels, j) for levels in w.values())) for j in range(depth)], size, inf
+    )
     if v == t[0]:
         return w, t  # stationary: every later layer is identical
     t.append(v)
@@ -305,11 +371,19 @@ def _fill(instance: Instance, usable, b: int, bound: int | None = None):
 
 
 def compute_tables(instance: Instance) -> DpTables:
-    """Fill both tables over every blue, implied ones too, and with no bound (for tests)."""
+    """Fill both tables over every blue, implied ones too, and with no bound (for tests).
+
+    Every cover table is decoded from its levels into DpTables.w.
+    """
     reds, usable = _usable(instance)
     w, t = _fill(instance, usable, instance.num_blue)
-    flat = {(mask, red): value for red, table in w.items() for mask, value in enumerate(table)}
-    return DpTables(instance.index.blues, reds, instance.num_sets + 1, flat, t)
+    size, inf = 1 << instance.num_blue, instance.num_sets + 1
+    flat = {
+        (mask, red): value
+        for red, levels in w.items()
+        for mask, value in enumerate(_decode(levels, size, inf))
+    }
+    return DpTables(instance.index.blues, reds, inf, flat, t)
 
 
 def dp_solve(instance: Instance) -> Solution | None:
@@ -338,12 +412,11 @@ def dp_solve(instance: Instance) -> Solution | None:
     chosen: set[int] = set()
 
     def cover(mask: int, red: int | None):
-        table = w[red]
+        levels = w[red]
         while mask:
+            below = levels[next(j for j, d in enumerate(levels) if d >> mask & 1) - 1]
             sid, bm = next(
-                (sid, bm)
-                for sid, bm in usable[red]
-                if bm & mask and table[mask & ~bm] + 1 == table[mask]
+                (sid, bm) for sid, bm in usable[red] if bm & mask and below >> (mask & ~bm) & 1
             )
             chosen.add(sid)
             mask &= ~bm
@@ -353,7 +426,7 @@ def dp_solve(instance: Instance) -> Solution | None:
         part = next(
             s for s in range(rest + 1) if s & rest == s and v[s] + prev[rest ^ s] == t[j][rest]
         )
-        cover(part, next(red for red in w if w[red][part] == v[part]))
+        cover(part, next(red for red in w if _level(w[red], v[part]) >> part & 1))
         rest ^= part
     cover(rest, None)
     if len(chosen) != optimum:
