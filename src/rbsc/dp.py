@@ -258,16 +258,13 @@ def _packing(masks, b: int) -> int:
 def _holding(b: int) -> list[int]:
     """Per blue i, the 2^b-bit integer whose bit m is set when mask m holds i.
 
-    Runs of 2^i clear and 2^i set bits alternate; the pattern is doubled up
-    to 2^b bits.
+    Built one blue at a time: adding blue k copies every pattern into the
+    masks that hold k, and blue k's own pattern is those masks.
     """
-    has = []
-    for i in range(b):
-        pattern, period = (1 << (1 << i)) - 1 << (1 << i), 2 << i
-        while period < 1 << b:
-            pattern |= pattern << period
-            period <<= 1
-        has.append(pattern)
+    has: list[int] = []
+    for k in range(b):
+        half = 1 << k
+        has = [h | h << half for h in has] + [(1 << half) - 1 << half]
     return has
 
 
