@@ -326,3 +326,29 @@ def test_generator_output_is_pinned():
     }
     for seed, digest in pinned.items():
         assert _digest(gen.gen_random(seed, cli.PROFILES["default"])) == digest, seed
+
+
+# The benchmark's geo-lines shape: every maximal line through 18 grid points.
+EIGHTEEN_POINTS = gen.RandomProfile(
+    min_points=18, max_points=18, max_sets=1000, max_budget_lines=5, max_budget_red=6
+)
+
+
+def _random_record(seed, profile):
+    try:
+        inst = gen.gen_random(seed, profile)
+    except FilterUnsatisfiable as exc:
+        return f"{type(exc).__name__}: {exc}"
+    rep = model.validate(inst)
+    return model.serialize_instance(inst) + repr((rep.violations, rep.warnings, rep.linear_system))
+
+
+def test_random_output_is_pinned_for_every_profile():
+    profiles = {**cli.PROFILES, "eighteen-points": EIGHTEEN_POINTS}
+    digest = hashlib.sha256()
+    for name, profile in profiles.items():
+        for seed in range(150):
+            digest.update(f"{name} {seed}\n{_random_record(seed, profile)}\n".encode())
+    assert digest.hexdigest() == (
+        "354bd893e3ce8a9ac3574ac14486a69feffe5b4780d8e7b3052dc9e22b0d1260"
+    )

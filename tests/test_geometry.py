@@ -49,6 +49,27 @@ def test_line_equation_enforces_canonical_form():
         LineEquation(-1, 1, 0)
 
 
+def test_line_equation_errors_are_pinned():
+    cases = {
+        (0, 0, 1): "degenerate line: a = b = 0",
+        (2, 2, 0): "non-canonical coefficients <2x+2y+0=0>",
+        (-1, 1, 0): "non-canonical sign <-1x+1y+0=0>",
+        (0, -2, 1): "non-canonical sign <0x-2y+1=0>",
+    }
+    for coefficients, message in cases.items():
+        with pytest.raises(ValueError) as err:
+            LineEquation(*coefficients)
+        assert str(err.value) == message
+    lines = [LineEquation(1, -1, 0), LineEquation(0, 1, -1), LineEquation(1, 0, -3), LineEquation(0, 1, 2)]
+    assert [repr(line) for line in lines] == ["<1x-1y+0=0>", "<0x+1y-1=0>", "<1x+0y-3=0>", "<0x+1y+2=0>"]
+    assert sorted(lines) == [LineEquation(0, 1, -1), LineEquation(0, 1, 2), LineEquation(1, -1, 0), LineEquation(1, 0, -3)]
+    assert LineEquation(0, 1, -1) < LineEquation(0, 1, 2) <= LineEquation(0, 1, 2)
+    assert LineEquation(1, -1, 0) == LineEquation(1, -1, 0)
+    assert hash(LineEquation(1, -1, 0)) == hash(LineEquation(1, -1, 0))
+    assert len({LineEquation(1, 0, -3), LineEquation(1, 0, -3), LineEquation(0, 1, 2)}) == 2
+    assert (lines[0].a, lines[0].b, lines[0].c) == (1, -1, 0)
+
+
 def test_maximal_family_square():
     fam = maximal_collinear_family([P(0, 0), P(0, 1), P(1, 0), P(1, 1)])
     assert len(fam) == 6

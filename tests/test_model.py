@@ -5,6 +5,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import abstract_instance, geometric_instance, with_random_weights
 from rbsc import cli, generators, kernel, model
@@ -58,6 +60,40 @@ def test_validate_linear_system_warning():
     assert rep.ok  # warning, not violation
     assert not rep.linear_system
     assert any("linear" in w for w in rep.warnings)
+
+
+@st.composite
+def overlapping_families(draw):
+    """Sets over at most 7 elements under scattered ids, with repeated sets
+    and a member pair held by several sets."""
+    family = draw(st.lists(st.frozensets(st.integers(0, 6), max_size=5), max_size=8))
+    if family:
+        family += [draw(st.sampled_from(family)) for _ in range(draw(st.integers(0, 3)))]
+    family += [
+        frozenset({0, 1}) | draw(st.frozensets(st.integers(2, 6), max_size=3))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    family = draw(st.permutations(family))
+    sids = draw(st.lists(st.integers(0, 50), min_size=len(family), max_size=len(family), unique=True))
+    return Instance(
+        tuple(Element(i, BLUE if i % 2 else RED) for i in range(7)),
+        tuple(zip(sids, family)),
+        None,
+        0,
+        ABSTRACT,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inst=overlapping_families())
+def test_overlaps_match_pairwise_reference(inst):
+    want = tuple(
+        (a, b)
+        for (a, ma), (b, mb) in combinations(inst.family, 2)
+        if len(ma & mb) >= 2
+    )
+    assert inst.overlaps == want
+    assert model.is_linear_system(inst) == (not want)
 
 
 def test_validate_dangling_and_mode_mismatch():
