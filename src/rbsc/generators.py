@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd
-from operator import attrgetter
 
 from . import model
 from .errors import (
@@ -380,8 +379,14 @@ def gen_mcc_setsystem(g: MulticoloredGraph) -> Instance:
 # random instances
 
 
-# Random coordinates lie on the grid 0..COORD_RANGE in steps of 1/2.
+# Random coordinates lie on the grid 0..COORD_RANGE in steps of 1/2.  They are
+# drawn in half units, as ints k = 0..2*COORD_RANGE, and _GRID[kx][ky] is the
+# point (kx/2, ky/2): a constant of the grid, shared by every instance.
 COORD_RANGE = 6
+_GRID = tuple(
+    tuple(PlanePoint(Fraction(kx, 2), Fraction(ky, 2)) for ky in range(2 * COORD_RANGE + 1))
+    for kx in range(2 * COORD_RANGE + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -427,16 +432,16 @@ def _random_color(rng: random.Random, profile: RandomProfile) -> str:
     return BLUE if rng.randrange(den) < num else RED
 
 
-def _random_coordinate(rng: random.Random) -> Fraction:
-    # mostly a small integer grid (rich in collinear triples), sometimes halves
+def _random_coordinate(rng: random.Random) -> int:
+    # in half units; mostly the integer grid (rich in collinear triples), sometimes halves
     if rng.randrange(4) == 0:
-        return Fraction(rng.randint(0, 2 * COORD_RANGE), 2)
-    return Fraction(rng.randint(0, COORD_RANGE))
+        return rng.randrange(2 * COORD_RANGE + 1)
+    return 2 * rng.randrange(COORD_RANGE + 1)
 
 
 def _random_geometric(rng: random.Random, profile: RandomProfile) -> Instance | None:
     n = rng.randint(profile.min_points, profile.max_points)
-    pts: list[tuple[Fraction, Fraction]] = []
+    pts: list[tuple[int, int]] = []
     seen = set()
     for _ in range(40 * n):
         p = (_random_coordinate(rng), _random_coordinate(rng))
@@ -448,12 +453,11 @@ def _random_geometric(rng: random.Random, profile: RandomProfile) -> Instance | 
     if len(pts) < n:
         return None
     colors = [_random_color(rng, profile) for _ in pts]
-    plane = [PlanePoint(x, y) for x, y in pts]
-    lines = maximal_collinear_family(plane)
+    blue = {i for i, color in enumerate(colors) if color == BLUE}
+    plane = [_GRID[kx][ky] for kx, ky in pts]
     candidates = []
-    for eq in sorted(lines, key=attrgetter("a", "b", "c")):
-        members = lines[eq]
-        blues = sum(1 for i in members if colors[i] == BLUE)
+    for _, members in sorted(maximal_collinear_family(plane).items()):
+        blues = len(members & blue)
         if _structure_ok(profile, blues, len(members) - blues):
             candidates.append(members)
     if len(candidates) < profile.min_sets:

@@ -1,11 +1,11 @@
 """Exact rational plane geometry.
 
-Points carry `fractions.Fraction` coordinates and lines carry canonical
-integer coefficients; that is the public and the serialized form.  The
-predicates do no `Fraction` arithmetic.  A point list is scaled once: every
-coordinate is multiplied by the lcm L of all its denominators, which gives
-integers.  Scaling by L > 0 maps lines to lines and keeps incidence, so
-three points are collinear iff the integer cross product
+Points carry `fractions.Fraction` coordinates, and a line is its checked
+canonical integer coefficient triple (a, b, c); that is the public and the
+serialized form.  The predicates do no `Fraction` arithmetic.  A point list
+is scaled once: every coordinate is multiplied by the lcm L of all its
+denominators, which gives integers.  Scaling by L > 0 maps lines to lines and
+keeps incidence, so three points are collinear iff the integer cross product
 dx*(y - y0) - dy*(x - x0) of their scaled coordinates is zero.  A single
 point is tested against a line by a*x + b*y + c = 0 multiplied by the
 denominators of x and y.  Both are sums of integer products, and Python
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import DuplicatePoints, EqualPoints, SameLine
 
@@ -34,27 +35,36 @@ class PlanePoint:
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True, order=True)
-class LineEquation:
-    """The line a*x + b*y + c = 0 in canonical integer form.
-
-    Canonical means gcd(|a|, |b|, |c|) = 1 and the first nonzero of (a, b)
-    is positive, so two equal point sets always compare structurally equal.
-    """
-
+class _Coefficients(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self):
-        if self.a == 0 and self.b == 0:
+
+class LineEquation(_Coefficients):
+    """The line a*x + b*y + c = 0 in canonical integer form.
+
+    Canonical means gcd(|a|, |b|, |c|) = 1 and the first nonzero of (a, b)
+    is positive, so two equal point sets always give equal lines.  A line is
+    the tuple (a, b, c): it hashes and orders as that tuple, and it also
+    equals the plain tuple (a, b, c).  Every way to build one runs the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int) -> "LineEquation":
+        line = tuple.__new__(cls, (a, b, c))
+        if a == 0 and b == 0:
             raise ValueError("degenerate line: a = b = 0")
-        g = gcd(gcd(abs(self.a), abs(self.b)), abs(self.c))
-        if g != 1:
-            raise ValueError(f"non-canonical coefficients {self}")
-        lead = self.a if self.a != 0 else self.b
-        if lead < 0:
-            raise ValueError(f"non-canonical sign {self}")
+        if gcd(a, b, c) != 1:
+            raise ValueError(f"non-canonical coefficients {line}")
+        if (a if a != 0 else b) < 0:
+            raise ValueError(f"non-canonical sign {line}")
+        return line
+
+    @classmethod
+    def _make(cls, iterable) -> "LineEquation":
+        return cls(*iterable)  # also serves _replace
 
     def contains(self, p: PlanePoint) -> bool:
         """a*x + b*y + c == 0, times the denominators of x and y."""
@@ -67,11 +77,9 @@ class LineEquation:
 
 def _scaled(points) -> tuple[int, list[tuple[int, int]]]:
     """The lcm L of all coordinate denominators, and every point times L."""
-    scale = lcm(*(v.denominator for p in points for v in (p.x, p.y)))
-    return scale, [
-        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
-        for p in points
-    ]
+    ratios = [(p.x.as_integer_ratio(), p.y.as_integer_ratio()) for p in points]
+    scale = lcm(*(d for (_, xd), (_, yd) in ratios for d in (xd, yd)))
+    return scale, [(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios]
 
 
 def _direction(dx: int, dy: int) -> tuple[int, int]:
@@ -137,12 +145,19 @@ def maximal_collinear_family(points: list[PlanePoint]) -> dict[LineEquation, fro
         lines: dict[tuple[int, int], list[int]] = {}
         for j in range(i + 1, len(xy)):
             x, y = xy[j]
-            d = _direction(x - x0, y - y0)
+            dx, dy = x - x0, y - y0
+            g = gcd(dx, dy)  # _direction, inline
+            if dy < 0 or (dy == 0 and dx > 0):
+                g = -g
+            d = dx // g, dy // g
             if d not in skip:
-                lines.setdefault(d, [i]).append(j)
+                if d in lines:
+                    lines[d].append(j)
+                else:
+                    lines[d] = [i, j]
         for d, members in lines.items():
             family[_line(scale, x0, y0, *d)] = frozenset(members)
-            for j in members[1:]:
+            for j in members[1:-1]:  # no point after the last one lies on the line
                 covered[j].add(d)
     return family
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import ParseError, SemanticError, UnknownSetId
@@ -57,7 +58,7 @@ class Instance:
     mode: str = GEOMETRIC
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(self.elements, key=lambda e: e.eid)))
+        object.__setattr__(self, "elements", tuple(sorted(self.elements, key=attrgetter("eid"))))
         object.__setattr__(
             self, "family", tuple(sorted(((s, frozenset(m)) for s, m in self.family)))
         )
@@ -98,10 +99,13 @@ class Instance:
         |S|^2), not O(ell^2) pairwise intersections.  Kept apart from the
         index so that validate does not pay for the color split.
         """
-        holders: dict[tuple[int, int], list[int]] = {}
+        first: dict[tuple[int, int], int] = {}  # the first set holding each pair
+        holders: dict[tuple[int, int], list[int]] = {}  # all of them, once there are two
         for sid, mem in self.family:
             for pair in combinations(sorted(mem), 2):
-                holders.setdefault(pair, []).append(sid)
+                held = first.setdefault(pair, sid)
+                if held != sid:
+                    holders.setdefault(pair, [held]).append(sid)
         return tuple(sorted({p for sids in holders.values() for p in combinations(sids, 2)}))
 
     def element(self, eid: int) -> Element:
@@ -239,24 +243,27 @@ def validate(instance: Instance) -> ValidationReport:
     """Report dangling ids, coordinate problems, non-collinear or non-maximal
     sets, and whether the family is a linear set system."""
     rep = ValidationReport()
+    by_eid = instance._by_eid
     for sid, mem in instance.family:
-        for eid in sorted(mem):
-            if not instance.has_element(eid):
-                rep.violations.append(f"set {sid} references missing element {eid}")
+        if not by_eid.keys() >= mem:
+            for eid in sorted(mem):
+                if eid not in by_eid:
+                    rep.violations.append(f"set {sid} references missing element {eid}")
     if instance.mode == GEOMETRIC:
-        coords = {}
-        for el in instance.elements:
-            if el.point is None:
-                rep.violations.append(f"element {el.eid} has no coordinates")
-            elif el.point in coords:
-                rep.violations.append(
-                    f"elements {coords[el.point]} and {el.eid} share coordinates {el.point}"
-                )
-            else:
-                coords[el.point] = el.eid
         placed = [el for el in instance.elements if el.point is not None]
         _, scaled = _scaled([el.point for el in placed])
         xy = {el.eid: p for el, p in zip(placed, scaled)}
+        coords = {}
+        for el in instance.elements:
+            p = xy.get(el.eid)
+            if p is None:
+                rep.violations.append(f"element {el.eid} has no coordinates")
+            elif p in coords:
+                rep.violations.append(
+                    f"elements {coords[p]} and {el.eid} share coordinates {el.point}"
+                )
+            else:
+                coords[p] = el.eid
         for sid, mem in instance.family:
             pts = [eid for eid in sorted(mem) if eid in xy]
             if len(pts) < 2:
@@ -268,6 +275,8 @@ def validate(instance: Instance) -> ValidationReport:
             dx, dy = x1 - x0, y1 - y0
             c = dx * y0 - dy * x0
             on = [eid for eid, (x, y) in xy.items() if dx * y - dy * x == c]
+            if on == pts:
+                continue  # the set is exactly the points on its line
             inside = set(pts)
             if not inside.issubset(on):
                 rep.violations.append(f"set {sid} is not collinear")
@@ -335,26 +344,20 @@ def certify(instance: Instance, chosen) -> Solution:
 # instance file format
 
 
-def _fmt_rational(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
-
-
 def serialize_instance(instance: Instance) -> str:
     lines = ["rbsc 1", f"mode {instance.mode}"]
     lines.append(
         "budget_lines inf" if instance.budget_lines is None else f"budget_lines {instance.budget_lines}"
     )
     lines.append(f"budget_red {instance.budget_red}")
+    geometric = instance.mode == GEOMETRIC
     for el in instance.elements:
-        parts = [f"point {el.eid} {el.color}"]
-        if instance.mode == GEOMETRIC and el.point is not None:
-            parts.append(f"{_fmt_rational(el.point.x)} {_fmt_rational(el.point.y)}")
-        if el.color == RED and el.weight != 1:
-            parts.append(f"w={el.weight}")
-        lines.append(" ".join(parts))
+        p = el.point if geometric else None
+        at = "" if p is None else f" {p.x.numerator}/{p.x.denominator} {p.y.numerator}/{p.y.denominator}"
+        weight = f" w={el.weight}" if el.color == RED and el.weight != 1 else ""
+        lines.append(f"point {el.eid} {el.color}{at}{weight}")
     for sid, mem in instance.family:
-        body = " ".join(str(e) for e in sorted(mem))
-        lines.append(f"set {sid} : {body}".rstrip())
+        lines.append(f"set {sid} : {' '.join(map(str, sorted(mem)))}".rstrip())
     return "\n".join(lines) + "\n"
 
 

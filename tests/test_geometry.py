@@ -68,6 +68,8 @@ def test_line_equation_errors_are_pinned():
     assert hash(LineEquation(1, -1, 0)) == hash(LineEquation(1, -1, 0))
     assert len({LineEquation(1, 0, -3), LineEquation(1, 0, -3), LineEquation(0, 1, 2)}) == 2
     assert (lines[0].a, lines[0].b, lines[0].c) == (1, -1, 0)
+    with pytest.raises(ValueError, match="non-canonical sign"):
+        lines[0]._replace(a=-1)
 
 
 def test_maximal_family_square():
