@@ -465,10 +465,12 @@ def _random_geometric(rng: random.Random, profile: RandomProfile) -> Instance | 
     count = rng.randint(profile.min_sets, min(profile.max_sets, len(candidates)))
     picked = sorted(rng.sample(range(len(candidates)), count))
     used = sorted(set().union(*(candidates[i] for i in picked)))
-    new_id = {old: new for new, old in enumerate(used)}
+    new_id = [0] * n
+    for new, old in enumerate(used):
+        new_id[old] = new
     elements = tuple(Element(new_id[i], colors[i], plane[i]) for i in used)
     family = tuple(
-        (sid, frozenset(new_id[i] for i in candidates[idx]))
+        (sid, frozenset(map(new_id.__getitem__, candidates[idx])))
         for sid, idx in enumerate(picked)
     )
     budget_lines, budget_red = _random_budgets(rng, profile)

@@ -156,7 +156,11 @@ def maximal_collinear_family(points: list[PlanePoint]) -> dict[LineEquation, fro
                 else:
                     lines[d] = [i, j]
         for d, members in lines.items():
-            family[_line(scale, x0, y0, *d)] = frozenset(members)
+            dx, dy = d
+            c = dx * y0 - dy * x0  # _line, inline
+            g = gcd(scale, c)
+            f = scale // g
+            family[LineEquation(dy * f, -dx * f, c // g)] = frozenset(members)
             for j in members[1:-1]:  # no point after the last one lies on the line
                 covered[j].add(d)
     return family

@@ -265,7 +265,9 @@ def validate(instance: Instance) -> ValidationReport:
             else:
                 coords[p] = el.eid
         for sid, mem in instance.family:
-            pts = [eid for eid in sorted(mem) if eid in xy]
+            pts = sorted(mem)
+            if not xy.keys() >= mem:
+                pts = [eid for eid in pts if eid in xy]
             if len(pts) < 2:
                 continue
             (x0, y0), (x1, y1) = xy[pts[0]], xy[pts[1]]
