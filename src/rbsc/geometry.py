@@ -130,7 +130,7 @@ def maximal_collinear_family(points: list[PlanePoint]) -> dict[LineEquation, fro
     their first point pair (i, j), lexicographically.  Each line is found
     once, from its lowest point i, by grouping the later points by their
     direction from i; a direction that a line found from an earlier point
-    already covers at i is skipped.
+    already covers at i is skipped.  The loops inline _direction and _line.
     """
     scale, xy = _scaled(points)
     seen = {}
@@ -146,7 +146,7 @@ def maximal_collinear_family(points: list[PlanePoint]) -> dict[LineEquation, fro
         for j in range(i + 1, len(xy)):
             x, y = xy[j]
             dx, dy = x - x0, y - y0
-            g = gcd(dx, dy)  # _direction, inline
+            g = gcd(dx, dy)
             if dy < 0 or (dy == 0 and dx > 0):
                 g = -g
             d = dx // g, dy // g
@@ -157,7 +157,7 @@ def maximal_collinear_family(points: list[PlanePoint]) -> dict[LineEquation, fro
                     lines[d] = [i, j]
         for d, members in lines.items():
             dx, dy = d
-            c = dx * y0 - dy * x0  # _line, inline
+            c = dx * y0 - dy * x0
             g = gcd(scale, c)
             f = scale // g
             family[LineEquation(dy * f, -dx * f, c // g)] = frozenset(members)
