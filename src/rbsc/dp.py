@@ -7,69 +7,58 @@ Two tables over blue-element bitmasks drive the decision:
   t[j][mask]    minimum family size covering the mask while touching at
                 most j red elements.
 
-Each w[red] is held as its level sets, the set-cover program over subsets
+Every table is held as its level sets, the set-cover program over subsets
 (Cygan et al., Parameterized Algorithms, 2015, section 6.1) run on all 2^b
-masks at once.  Level j is one 2^b-bit integer whose bit m is set when mask
-m has a cover by at most j of the table's usable sets, and w[red][mask] is
-the least level holding the mask.  Level 0 holds the empty mask alone;
-level j + 1 is the OR, over the usable blue masks S, of ext_S(level j),
-which for each blue i of S does
+masks at once.  Level c is one 2^b-bit integer whose bit m is set when the
+entry of mask m is at most c, and the entry is the least level holding the
+mask.  Every table is monotone, since a cover of a mask covers each of its
+subsets, so every level is downward closed.
+
+One routine grows them all.  Given seed levels and some blue masks, level c
+holds m = A | B when B lies in seed level c' and A has a cover by at most
+c - c' of the masks.  Level c is seed level c OR'd with level c - 1
+extended by any one mask S, and the extension ext_S(D) does, for each blue
+i of S,
 
   ext |= (ext << 2^i) & has[i],
 
-where has[i] holds every mask containing blue i.  Every level is downward
-closed, since a cover of a mask covers each of its subsets, so ext_S(D) is
-exactly the masks m with m minus S in D, and a cover of m by at most j + 1
-sets is one set plus a cover of the rest by at most j.  The levels stop
-once one holds every mask or equals the one below; a minimal cover takes at
-most one set per blue, so there are at most b + 1.  v's levels (below) are
-the OR of the tables' levels.
+where has[i] holds every mask containing blue i.  Since D is downward
+closed, ext_S(D) is exactly the masks m with m minus S in D.  The levels
+stop at the first that holds every mask, or at the first equal to the one
+below once the seed has run out: from there on nothing is added.  Every
+finite entry is at most b, since a minimal cover takes at most one set per
+blue, so a list grown from a seed of at most b + 1 levels has at most b + 1
+levels too.
 
-Only w[None], which is t[0], and v are decoded into lists.  Each level
-becomes one 0/1 byte per mask; summed as base-256 integers, byte m counts
-the levels holding mask m.  The count is at most b + 1 < 256, so no byte
-carries into the next, and a lookup turns it into the least level holding
-the mask, or the sentinel when no level does.
-
-t[0] equals w[None]; a later layer picks the blue subset handled by sets
-sharing one red element, at its cheapest red (v[sub], the least w[red][sub]),
-and adds layer j - 1 on the rest (the empty subset is a legal, if useless,
-pick):
+w[None] grows from the empty mask by the red-free sets.  A later layer picks
+the blue subset handled by sets sharing one red element, at its cheapest red
+(v[sub], the least w[red][sub]), and adds layer j - 1 on the rest (the empty
+subset is a legal, if useless, pick):
 
   t[j][m] = min over sub within m of v[sub] + t[j - 1][m minus sub].
 
-t[1] is v itself: the pick sub = m gives v[m] + t[0][empty] = v[m], and every
-other pick is a cover of m paying for at most one red, which costs at least
-v[m].  So only layers 2 and up are computed as below.
+Since the tables are monotone, this is the min-plus cover product: the
+least v[A] + t[j - 1][B] over all pairs with A | B == m, as a pair that
+overlaps can shrink B to m minus A at no extra cost.  The product is
+associative and commutative, and it takes the minimum over reds apart.
+w[red] is w[None] times the cover table of the sets owning red alone, so it
+grows from w[None] by those sets.  Every layer is w[None] (t[0]) times some
+table, and w[None] times itself is w[None], so w[red] times layer j - 1 is
+layer j - 1 grown by red's own sets.  Layer j is the OR, level by level and
+over the reds, of those grown lists; layer 1, v itself, is the OR of the
+w[red].
+
+The cover tables stay as levels, which reconstruction reads; each layer is
+decoded into a list.  Each level becomes one 0/1 byte per mask; summed as
+base-256 integers, byte m counts the levels holding mask m.  The count is at
+most b + 1 < 256, so no byte carries into the next, and a lookup turns it
+into the least level holding the mask, or the sentinel when no level does.
 
 The instance is a YES exactly when the full-mask entry of layer budget_red
 is within the line budget.  Layers stop early once two consecutive layers
 coincide: the recurrence is stationary, so all later layers would be
 identical.  They also stop after as many layers as there are reds: two picks
 paying for the same red merge into one at no extra cost.
-
-Each later layer is a cover product; layer 2 multiplies the zeta transform
-of v by itself.  Every table is monotone, since a cover of a mask covers
-each of its subsets.  So the minimum above equals the minimum of
-v[A] + t[j - 1][B] over all pairs with A | B == m: a pair that overlaps can
-shrink B to m minus A at no extra cost.  Björklund, Husfeldt, Kaski and
-Koivisto ("Fourier meets Möbius: fast subset convolution", STOC 2007)
-compute such a product with zeta and Möbius transforms over subsets, in
-O(2^b * b) big-integer additions instead of the 3^b (mask, submask) pairs.
-A value x is packed as the integer 2^(x*W), with W the bit length of 3^b,
-and the sentinel as 0.  The zeta transforms sum these over subsets; their
-pointwise product holds, in slot s (bits s*W to s*W + W - 1), the number of
-pairs of subsets of m whose values sum to s; the Möbius transform keeps the
-pairs whose union is m.  Products are cut to their low (inf + 1) * W bits
-with `&`, the slots of sums up to the sentinel: reduction modulo
-2^((inf + 1) * W) commutes with the transforms, and it bounds every entry
-the transforms take by the width the guard's estimate counts.  Every final
-count is at most 3^b < 2^W, so no slot carries into the next, and each entry
-agrees with its packed counts modulo the cut: its lowest set bit lies in its
-lowest nonzero slot, whose index (the bit divided by W) is the minimum.
-Setting the sentinel's bit before reading caps the result at the sentinel,
-which also covers an entry with no pair below the cut (0 modulo the cut).
-All of it is integer arithmetic.
 
 Before any table, dp_solve looks at the sets usable at its red budget:
 every set when the budget is at least 1, the red-free sets alone when it is
@@ -112,16 +101,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
-from operator import add, and_, mul, or_, sub
+from operator import or_
 
 from . import model
 from .errors import PreconditionViolated, RedDegreeExceeded, TooManyBlues
 from .model import Instance, Solution
 
-# Estimated bytes the two packed layer lists may take.  Measured on a 2-core
-# container with Python 3.11: 17 blues and 24 sets (estimate 30 MB) solve in
-# 3.6 s at 52 MB resident, 18 blues and 25 sets (65.5 MB) in 8.5 s at 90 MB.
+# Limit on the table_bytes estimate.  Measured on a 2-core container with
+# Python 3.11, on one-blue sets, all but two paying for one of 8 reds: 17
+# blues and 24 sets (estimate 30 MB) solve in 0.10 s at 29 MB resident, 18
+# blues and 25 sets (65.5 MB) in 0.24 s at 44 MB.
 MAX_TABLE_BYTES = 1 << 26
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its byte value
@@ -137,20 +126,25 @@ class DpTables:
 
 
 def table_bytes(instance: Instance) -> int:
-    """Estimated bytes of the two packed lists the layers keep alive.
+    """Estimated bytes of the tables the layers keep alive.
 
-    Each holds 2^b integers of (sentinel + 1) * W bits and a 28-byte header.
-    b counts every blue, before implied ones are dropped, so the estimate is
-    an upper bound and depends on the instance alone.  The cover tables'
-    levels take at most (b + 1) * 2^b bits per table, below the layer
-    lists, so the estimate still bounds the memory.
+    The formula, 2 * 2^b * ((sentinel + 1) * W / 8 + 28) with W the bit
+    length of 3^b, was sized for packed layer lists this module no longer
+    builds; it stays so that auto's picks do not move.  The tables now are
+    the decoded layers, an 8-byte slot per mask in each of at most
+    min(b, reds) + 1 lists, and the level sets, (b + 1) bits per mask per
+    table.  b counts every blue, before implied ones are dropped, so the
+    estimate depends on the instance alone.  It stays above the measured
+    peak except when every blue needs a red of its own and all b + 1 layers
+    are filled: b one-blue sets, each paying for its own red, peak at about
+    1.2 times the estimate.
     """
     b = len(instance.index.blues)
     return 2 * (1 << b) * ((instance.num_sets + 2) * (3**b).bit_length() // 8 + 28)
 
 
 def fits(instance: Instance) -> bool:
-    """Whether the layer lists stay within MAX_TABLE_BYTES.
+    """Whether the table_bytes estimate stays within MAX_TABLE_BYTES.
 
     Judged on every blue, as table_bytes is, so auto's pick does not depend
     on how many blues the reduction keeps.
@@ -188,26 +182,6 @@ def _usable(instance: Instance):
     # Sets usable while paying for a given red: red-free always, plus the
     # sets owning exactly that red.
     return reds, {None: free, **{r: sorted(free + owned[r]) for r in reds}}
-
-
-def _transform(a: list[int], op) -> None:
-    """Zeta (op add) or Möbius (op sub) transform over subsets, in place.
-
-    For each bit, every mask holding it takes op(a[mask], a[mask minus the
-    bit]).  The pairs are slices: strided ones for a low bit, blocks for a
-    high bit, whichever needs fewer of them.
-    """
-    size = len(a)
-    half = 1
-    while half < size:
-        step = half << 1
-        if half < size // step:
-            for hi in range(half, step):
-                a[hi::step] = map(op, a[hi::step], a[hi - half :: step])
-        else:
-            for hi in range(half, size, step):
-                a[hi : hi + half] = map(op, a[hi : hi + half], a[hi - half : hi])
-        half = step
 
 
 def _drop_implied_blues(instance: Instance, usable):
@@ -268,26 +242,31 @@ def _holding(b: int) -> list[int]:
     return has
 
 
-def _levels(sets, has: list[int]) -> list[int]:
-    """The level sets of one cover table, from its usable (set id, blue mask) pairs.
+def _level(levels: list[int], j: int) -> int:
+    """The masks whose entry is at most j: level j, or the last level."""
+    return levels[min(j, len(levels) - 1)]
 
-    Level j is a 2^b-bit integer whose bit m is set when mask m has a cover
-    by at most j of the sets.  Each level extends the one below by any one
-    set; the list stops at the first level that holds every mask or equals
-    the one below.
+
+def _grow(seed: list[int], masks, has: list[int]) -> list[int]:
+    """The level sets of a seed table grown by a cover with the given blue masks.
+
+    Level c holds every A | B with B in seed level c' and A covered by at
+    most c - c' of the masks: seed level c, OR'd with level c - 1 extended by
+    any one mask.  The list stops at the first level that holds every mask,
+    or at the first level equal to the one below once the seed has run out.
     """
     everything = (1 << (1 << len(has))) - 1
-    steps = [[(1 << i, has[i]) for i in model.bits(bm)] for bm in {bm for _, bm in sets}]
-    levels = [1]  # only the empty mask is covered by no set
+    steps = [[(1 << i, has[i]) for i in model.bits(bm)] for bm in masks]
+    levels = [seed[0]]
     while levels[-1] != everything:
         cur = levels[-1]
-        nxt = cur
+        nxt = cur | _level(seed, len(levels))
         for pairs in steps:
             ext = cur
             for shift, held in pairs:
                 ext |= (ext << shift) & held
             nxt |= ext
-        if nxt == cur:
+        if nxt == cur and len(levels) >= len(seed):
             break
         levels.append(nxt)
     return levels
@@ -308,11 +287,6 @@ def _decode(levels: list[int], size: int, inf: int) -> list[int]:
     return list(map(value.__getitem__, counts.to_bytes(size, "little")))
 
 
-def _level(levels: list[int], j: int) -> int:
-    """The masks with a cover by at most j sets: level j, or the last level."""
-    return levels[min(j, len(levels) - 1)]
-
-
 def _fill(instance: Instance, usable, b: int, bound: int | None = None):
     """Fill the tables bottom-up over b blues.
 
@@ -326,45 +300,26 @@ def _fill(instance: Instance, usable, b: int, bound: int | None = None):
     size = 1 << b
     inf = instance.num_sets + 1
     has = _holding(b)
-    w: dict[int | None, list[int]] = {None: _levels(usable[None], has)}
+    free = {bm for _, bm in usable[None]}
+    w: dict[int | None, list[int]] = {None: _grow([1], free, has)}
     t = [_decode(w[None], size, inf)]
     if t[0][-1] == bound:
         return w, t  # no cover of every blue is smaller
-    w.update((red, _levels(sets, has)) for red, sets in usable.items() if red is not None)
-    layers = min(instance.budget_red, len(w) - 1)  # at most one layer per red
+    own = {red: {bm for _, bm in sets} - free for red, sets in usable.items() if red is not None}
+    w.update((red, _grow(w[None], masks, has)) for red, masks in own.items())
+    layers = min(instance.budget_red, len(own))  # at most one layer per red
     if not layers:
         return w, t
-    depth = max(map(len, w.values()))
-    v = _decode(
-        [reduce(or_, (_level(levels, j) for levels in w.values())) for j in range(depth)], size, inf
-    )
-    if v == t[0]:
-        return w, t  # stationary: every later layer is identical
-    t.append(v)
-    if layers == 1 or v[-1] == bound:
-        return w, t
-
-    width = (3**b).bit_length()
-    cut = (1 << (inf + 1) * width) - 1
-    cap = 1 << inf * width
-    pack = [1 << x * width for x in range(inf)] + [0]
-
-    def zeta(row: list[int]) -> list[int]:
-        a = list(map(pack.__getitem__, row))
-        _transform(a, add)
-        return a
-
-    zv = a = zeta(v)  # layer 1 is v, so layer 2 multiplies zv by itself
+    grown = list(w.values())  # layer 1, v, is the OR of the cover tables
     while True:
-        a = list(map(and_, map(mul, a, zv), repeat(cut)))
-        _transform(a, sub)
-        cur = [((y & -y).bit_length() - 1) // width for y in map(or_, a, repeat(cap))]
+        levels = [reduce(or_, (_level(g, c) for g in grown)) for c in range(max(map(len, grown)))]
+        cur = _decode(levels, size, inf)
         if cur == t[-1]:
-            return w, t  # stationary
+            return w, t  # stationary: every later layer is identical
         t.append(cur)
         if len(t) > layers or cur[-1] == bound:
             return w, t
-        a = zeta(cur)
+        grown = [_grow(levels, masks, has) for masks in own.values()]
 
 
 def compute_tables(instance: Instance) -> DpTables:

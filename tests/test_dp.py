@@ -1,9 +1,10 @@
 import hashlib
-import operator
 import time
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -341,6 +342,37 @@ def _reference_layers(instance):
     return t
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    b=st.integers(1, 4),
+    raw=st.lists(st.integers(0, 5), min_size=16, max_size=16),
+    masks=st.lists(st.integers(0, 15), max_size=3),
+)
+def test_grow_matches_the_cover_product_with_its_seed(b, raw, masks):
+    # A monotone seed table, 5 standing for no cover, whose levels may repeat
+    # (a layer's OR over reds can), grown by up to three masks: entry m is
+    # the least seed[B] plus the masks covering A, over all A | B == m.
+    size, inf = 1 << b, 99
+    masks = [m % size for m in masks]
+    seed = [0] + [max(raw[s] for s in range(1, size) if s & m == s) for m in range(1, size)]
+    seed = [x if x < 5 else inf for x in seed]
+    top = max(x for x in seed if x < inf)
+    levels = [sum(1 << m for m in range(size) if seed[m] <= c) for c in range(top + 1)]
+    covers = [
+        min((k for k in range(len(masks) + 1) for pick in combinations(masks, k)
+             if a & ~reduce(or_, pick, 0) == 0), default=inf)
+        for a in range(size)
+    ]
+    product = [
+        min(covers[a] + seed[m & ~a | c] for a in range(size) if a & m == a
+            for c in range(size) if c & a == c)
+        for m in range(size)
+    ]
+    grown = dp._grow(levels, masks, dp._holding(b))
+    least = [next((c for c, d in enumerate(grown) if d >> m & 1), None) for m in range(size)]
+    assert least == [x if x < inf else None for x in product]
+
+
 LAYER_PROFILE = generators.RandomProfile(
     structure="max-one-red", mode=ABSTRACT, linear=False, min_points=7,
     max_points=11, max_sets=14, max_budget_red=5, blue_chance=(2, 3),
@@ -394,40 +426,62 @@ def test_tables_match_full_tabulation_on_deep_covers():
     assert dp.compute_tables(instances[0]).w[((1 << 10) - 1, 10)] == 9
 
 
-@pytest.mark.parametrize("n", [8, 12])
-def test_set_cover_chains_through_dp(n):
-    # A cycle of n two-element sets needs ceil(n / 2) of them.  As lines,
-    # each set is a red and each of its elements a one-blue line through
-    # that red, so a cover takes n lines.
+def _set_cover_chain(n, k):
+    """A cycle of n two-element sets, at most k of them, as a lines instance.
+
+    The cycle needs ceil(n / 2) sets.  As lines, each set is a red and each
+    of its elements a one-blue line through that red, so a cover takes n
+    lines.
+    """
     sets = tuple(frozenset({u, u % n + 1}) for u in range(1, n + 1))
+    return generators.gen_setcover_lines(generators.SetCoverInstance(n, sets, k))
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_set_cover_chain_layers_match_reference(n):
+    # Many reds and no red-free set: the layers run five or six deep.
+    inst = _set_cover_chain(n, -(-n // 2))
+    t = dp.compute_tables(inst).t
+    assert t == _reference_layers(inst) and len(t) >= 5
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_set_cover_chains_through_dp(n):
     need = -(-n // 2)
-    yes = generators.gen_setcover_lines(generators.SetCoverInstance(n, sets, need))
+    yes = _set_cover_chain(n, need)
     sol = dp.dp_solve(yes)
     assert sol is not None and len(sol.chosen) == n
     assert model.verify(yes, sol.chosen).feasible
-    no = generators.gen_setcover_lines(generators.SetCoverInstance(n, sets, need - 1))
+    no = _set_cover_chain(n, need - 1)
     assert dp.dp_solve(no) is None
 
 
-def test_packed_entries_stay_within_the_estimated_width(monkeypatch):
+def _watch_grow(monkeypatch):
+    """Record the level count of every _grow result."""
+    grown = []
+    grow = dp._grow
+
+    def watched(*args):
+        levels = grow(*args)
+        grown.append(len(levels))
+        return levels
+
+    monkeypatch.setattr(dp, "_grow", watched)
+    return grown
+
+
+def test_deep_chain_levels_stay_within_one_per_blue(monkeypatch):
     # One-blue sets in a chain: a cover uses nearly every set, so two layers
-    # sum to about twice the sentinel.  Cutting the products keeps every
-    # packed entry within the (sentinel + 1) * W bits that table_bytes counts.
+    # sum to about twice the sentinel.  Every grown table, layers included,
+    # keeps at most b + 1 levels, the count _decode's bytes can hold.
     b = 10
     sets = [{i} for i in range(b - 2)] + [{b - 2, b}, {b - 1, b + 1}]
     inst = abstract_instance("B" * b + "RR", sets, b, 2)
-    width = (inst.num_sets + 2) * (3**b).bit_length()
-    widest = []
-    transform = dp._transform
-
-    def watched(a, op):
-        widest.append(max(x.bit_length() for x in a))
-        transform(a, op)
-
-    monkeypatch.setattr(dp, "_transform", watched)
+    grown = _watch_grow(monkeypatch)
     sol = dp.dp_solve(inst)
     assert sol is not None and len(sol.chosen) == b
-    assert len(widest) == 2 and max(widest) <= width
+    # Three cover tables, then layer 2 grows layer 1 once per red.
+    assert len(grown) == 5 and max(grown) <= b + 1
 
 
 def _agrees_with_brute_force(inst, sol):
@@ -451,18 +505,16 @@ def _watch_layers(monkeypatch):
     return results
 
 
-def test_one_red_budget_runs_no_transform(monkeypatch):
-    # Layer 1 is v, the cheapest cover per mask over all reds: no product.
-    def no_transform(a, op):
-        raise AssertionError("a transform ran")
-
-    monkeypatch.setattr(dp, "_transform", no_transform)
+def test_one_red_budget_grows_only_the_cover_tables(monkeypatch):
+    # Layer 1 is v, the OR of the cover tables: nothing beyond them is grown.
+    grown = _watch_grow(monkeypatch)
     results = _watch_layers(monkeypatch)
     for seed in range(60):
         inst = generators.gen_random(seed, DIFFERENTIAL_PROFILES["abstract"])
         inst = replace(inst, budget_red=1)
         _agrees_with_brute_force(inst, dp.dp_solve(inst))
     assert any(len(t) == 2 for _, t in results)
+    assert len(grown) == sum(len(reds) for reds, _ in results)
 
 
 def test_red_free_cover_at_the_packing_bound_fills_no_red_table(monkeypatch):
@@ -481,26 +533,20 @@ def test_red_free_cover_at_the_packing_bound_fills_no_red_table(monkeypatch):
 def test_layers_stop_at_the_packing_bound(monkeypatch):
     # Blues 0 and 2 share no set, so no cover has fewer than 2 sets.  Red
     # budget 3 allows three layers; sets 0 and 1 pay for reds 4 and 5 and
-    # reach the bound at layer 2, after one product.
+    # reach the bound at layer 2.  Each of the four cover tables grows once,
+    # then layer 2 grows layer 1 once per red.
     sets = [{0, 1, 4}, {2, 3, 5}, {0}, {1}, {2}, {3}, {0, 6}]
     inst = abstract_instance("BBBBRRR", sets, 2, 3)
-    ops = []
-    transform = dp._transform
-
-    def watched(a, op):
-        ops.append(op)
-        transform(a, op)
-
-    monkeypatch.setattr(dp, "_transform", watched)
+    grown = _watch_grow(monkeypatch)
     results = _watch_layers(monkeypatch)
     sol = dp.dp_solve(inst)
     assert sol is not None and sol.chosen == {0, 1}
     _agrees_with_brute_force(inst, sol)
     [(_, t)] = results
     assert [layer[-1] for layer in t] == [4, 3, 2]
-    assert ops == [operator.add, operator.sub]
-    ops.clear()  # without the bound, a second product finds layer 3 stationary
-    assert dp.compute_tables(inst).t == t and ops == [operator.add, operator.sub] * 2
+    assert len(grown) == 7
+    grown.clear()  # without the bound, layer 3 is grown too and found stationary
+    assert dp.compute_tables(inst).t == t and len(grown) == 10
 
 
 def test_no_table_without_lines_or_with_an_uncovered_blue(monkeypatch):
