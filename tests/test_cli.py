@@ -485,3 +485,71 @@ def test_module_entry_point_round_trip(tmp_path):
         assert rbsc("solve", inst, "--out", sol) == code
         assert rbsc("verify", inst, sol) == code
     assert rbsc("solve", tmp_path / "missing.rbsc") == 2
+
+
+def test_bench_reports_a_disagreement_with_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.SOLVERS, "brute", (lambda inst, force, stats: None, False))
+    write_instance(tmp_path, tiny_yes())
+    csv_path = tmp_path / "bench.csv"
+    assert cli.main(["bench", str(tmp_path), "--algos", "fpt,brute", "--csv", str(csv_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "DISAGREEMENT on: case.rbsc"
+    with open(csv_path) as fh:
+        assert {row["algo"]: row["decision"] for row in csv.DictReader(fh)} == {"fpt": "yes", "brute": "no"}
+
+
+def test_bench_on_a_directory_without_instances_is_exit_2(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no instances here\n")
+    csv_path = tmp_path / "bench.csv"
+    assert cli.main(["bench", str(tmp_path), "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err == f"error: no *.rbsc files in {tmp_path}\n"
+    assert not csv_path.exists()
+
+
+def test_bench_rejects_an_unknown_algorithm(tmp_path, capsys):
+    write_instance(tmp_path, tiny_yes())
+    csv_path = tmp_path / "bench.csv"
+    assert cli.main(["bench", str(tmp_path), "--algos", "auto,nope", "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err == "error: unknown algorithm 'nope'\n"
+    assert not csv_path.exists()
+
+
+def test_verify_a_no_claim_is_exit_1(tmp_path, capsys):
+    path = write_instance(tmp_path, tiny_yes())
+    claim = tmp_path / "no.solution"
+    claim.write_text("solution no\n")
+    assert cli.main(["verify", str(path), str(claim)]) == 1
+    assert capsys.readouterr().out == "solution file claims no; nothing to verify\n"
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("setcover", "--input <setcover file> required"),
+        ("setcover-uniqred", "--input <setcover file> required"),
+        ("mcc-lines", "--graph <mcgraph file> required"),
+        ("mcc-sets", "--graph <mcgraph file> required"),
+    ],
+)
+def test_generate_without_its_source_file_is_exit_2(tmp_path, capsys, kind, message):
+    out = tmp_path / "out.rbsc"
+    assert cli.main(["generate", kind, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_generate_mcc_lines_on_an_irregular_graph_is_exit_2(tmp_path, capsys):
+    graph = tmp_path / "path.mcgraph"
+    graph.write_text("mcgraph 1\nclasses 3\nvertex 1 1\nvertex 2 2\nvertex 3 3\nedge 1 2\nedge 2 3\n")
+    out = tmp_path / "path.rbsc"
+    assert cli.main(["generate", "mcc-lines", "--graph", str(graph), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error NotRegular: graph is not regular\n"
+    assert not out.exists()
+
+
+def test_auto_sends_unbounded_input_past_the_red_subset_guard_to_brute(tmp_path, capsys):
+    # set 0 holds one red, so rbsc-two-red is out, and 26 reds exceed red-subsets' guard
+    reds = oracle.SUBSET_GUARD + 1
+    inst = abstract_instance("B" + "R" * reds, [{0, 1}, set(range(2, reds + 1))], None, 1)
+    path = write_instance(tmp_path, inst)
+    assert cli.main(["solve", str(path), "--algo", "auto"]) == 0
+    assert "algo brute" in capsys.readouterr().out.splitlines()

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import pytest
@@ -348,6 +349,23 @@ def test_solve_bounded_red_matches_plain_solver():
         b = fpt.solve_kl_kr(inst)
         assert (a is None) == (b is None)
 
+
+def test_red_budget_cap_at_d_times_budget_lines_changes_no_search():
+    # each set holds at most d reds, so no node within the line budget covers more than
+    # d * budget_lines reds: capping the red budget there moves no witness and no counter
+    profile = generators.RandomProfile(blue_chance=(2, 3), max_budget_red=5)
+    for seed in range(120):
+        inst = generators.gen_random(9000 + seed, profile)
+        d = max((split.red_mask.bit_count() for split in inst.index.sets.values()), default=0)
+        capped = replace(inst, budget_red=min(inst.budget_red, d * inst.budget_lines))
+        runs = []
+        for case in (capped, inst):
+            stats = SolveStats()
+            sol = fpt.solve_kl_kr(case, stats=stats)
+            runs.append((sol and sol.chosen, stats.branches, stats.pruned, stats.tuples))
+        assert runs[0] == runs[1], seed
+        sol = fpt.solve_bounded_red(inst, d)
+        assert (sol and sol.chosen) == runs[1][0], seed
 
 def test_solve_kl_kr_counts_tree_nodes():
     # no multi-blue set: the root marks blue 0, its child marks blue 1, the leaf runs the core
