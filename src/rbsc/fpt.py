@@ -240,8 +240,8 @@ def solve_bounded_red(
 ) -> Solution | None:
     """Decide when every set carries at most d red elements.
 
-    A solution touches at most d * budget_lines reds, so the red budget can
-    be capped there before delegating.
+    A family within the line budget covers at most d * budget_lines reds, so
+    solve_kl_kr's search stays FPT in budget_lines whatever the red budget.
     """
     _require_unweighted(instance)
     _require_finite_budget(instance)
@@ -250,9 +250,7 @@ def solve_bounded_red(
     for sid, (_, rm) in instance.index.sets.items():
         if rm.bit_count() > d:
             raise DegreeExceeded(f"set {sid} has {rm.bit_count()} red elements, more than d={d}")
-    capped = min(instance.budget_red, d * instance.budget_lines)
-    sol = solve_kl_kr(replace(instance, budget_red=capped), stats=stats)
-    return None if sol is None else model.certify(instance, sol.chosen)
+    return solve_kl_kr(instance, stats=stats)
 
 
 def solve_two_blue_special(

@@ -404,7 +404,6 @@ class RandomProfile:
     structure: str = "any"  # any | one-blue | two-blue | max-one-red | two-red
     linear: bool = True  # abstract mode: keep pairwise intersections <= 1
     blue_chance: tuple[int, int] = (1, 2)  # color an element blue with chance num/den
-    attempts: int = 300
 
 
 def _structure_ok(profile: RandomProfile, blues: int, reds: int) -> bool:
@@ -503,12 +502,15 @@ def _random_abstract(rng: random.Random, profile: RandomProfile) -> Instance | N
     return Instance(elements, sets, budget_lines, budget_red, ABSTRACT)
 
 
+ATTEMPTS = 300  # candidates gen_random draws before it gives up
+
+
 def gen_random(seed: int, profile: RandomProfile = RandomProfile()) -> Instance:
     """Deterministic-in-seed random instance satisfying the profile filters."""
     rng = random.Random(seed)
     build = _random_geometric if profile.mode == GEOMETRIC else _random_abstract
-    for _ in range(profile.attempts):
+    for _ in range(ATTEMPTS):
         inst = build(rng, profile)
         if inst is not None:
             return inst
-    raise FilterUnsatisfiable(f"profile filters unsatisfied after {profile.attempts} attempts")
+    raise FilterUnsatisfiable(f"profile filters unsatisfied after {ATTEMPTS} attempts")

@@ -82,32 +82,6 @@ def _scaled(points) -> tuple[int, list[tuple[int, int]]]:
     return scale, [(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios]
 
 
-def _direction(dx: int, dy: int) -> tuple[int, int]:
-    """(dx, dy) != (0, 0) over its gcd, signed so that dy > 0, or dy = 0 < -dx.
-
-    Two scaled point pairs span parallel lines iff their directions are equal.
-    """
-    g = gcd(dx, dy)
-    if dy < 0 or (dy == 0 and dx > 0):
-        g = -g
-    return dx // g, dy // g
-
-
-def _line(scale: int, x0: int, y0: int, dx: int, dy: int) -> LineEquation:
-    """The canonical line through the scaled point (x0, y0) with direction
-    (dx, dy), as _direction returns it.
-
-    In scaled coordinates the line is dy*X - dx*Y + c = 0 with
-    c = dx*y0 - dy*x0; X = scale*x turns it into (dy*scale, -dx*scale, c).
-    As gcd(dx, dy) = 1, the gcd of those three is gcd(scale, c), and the sign
-    of _direction makes the first nonzero of (dy, -dx) positive.
-    """
-    c = dx * y0 - dy * x0
-    g = gcd(scale, c)
-    f = scale // g
-    return LineEquation(dy * f, -dx * f, c // g)
-
-
 def collinear(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
     """True iff the determinant of (q - p, r - p) is exactly zero."""
     _, ((px, py), (qx, qy), (rx, ry)) = _scaled((p, q, r))
@@ -118,8 +92,8 @@ def canonical_line(p: PlanePoint, q: PlanePoint) -> LineEquation:
     """The unique canonical line through two distinct points; symmetric in p, q."""
     if p == q:
         raise EqualPoints(f"cannot span a line with a single point {p}")
-    scale, ((x0, y0), (x1, y1)) = _scaled((p, q))
-    return _line(scale, x0, y0, *_direction(x1 - x0, y1 - y0))
+    (line,) = maximal_collinear_family([p, q])
+    return line
 
 
 def maximal_collinear_family(points: list[PlanePoint]) -> dict[LineEquation, frozenset[int]]:
@@ -130,7 +104,11 @@ def maximal_collinear_family(points: list[PlanePoint]) -> dict[LineEquation, fro
     their first point pair (i, j), lexicographically.  Each line is found
     once, from its lowest point i, by grouping the later points by their
     direction from i; a direction that a line found from an earlier point
-    already covers at i is skipped.  The loops inline _direction and _line.
+    already covers at i is skipped.  A direction (dx, dy) is divided by its
+    gcd and signed so that dy > 0, or dy = 0 < -dx.  The line through the
+    scaled point (x0, y0) is then (dy*scale, -dx*scale, c), c = dx*y0 - dy*x0,
+    over gcd(scale, c): as gcd(dx, dy) = 1, that is the gcd of all three, and
+    the sign rule makes the first nonzero of (dy, -dx) positive.
     """
     scale, xy = _scaled(points)
     seen = {}

@@ -387,8 +387,8 @@ def test_cover_product_layers_match_reference(seed):
 
 
 def test_cover_product_layers_on_tie_saturated_instance():
-    # Every blue in a red-free set and in a one-red set: every split of every
-    # mask ties, so each packed slot holds up to 3^b pairs.
+    # Every blue in a red-free set and in a one-red set: every mask has a
+    # one-set cover with the red and one without it, so every table ties.
     blues = range(11)
     inst = abstract_instance("B" * 11 + "R", [set(blues), {*blues, 11}], 2, 5)
     tabs = dp.compute_tables(inst)

@@ -222,7 +222,7 @@ def test_random_outputs_validate():
 
 
 def test_random_unsatisfiable_profile():
-    impossible = gen.RandomProfile(min_sets=50, max_sets=50, max_points=4, attempts=5)
+    impossible = gen.RandomProfile(min_sets=50, max_sets=50, max_points=4)
     with pytest.raises(FilterUnsatisfiable):
         gen.gen_random(0, impossible)
 
