@@ -48,8 +48,12 @@ layer j - 1 grown by red's own sets.  Layer j is the OR, level by level and
 over the reds, of those grown lists; layer 1, v itself, is the OR of the
 w[red].
 
-The cover tables stay as levels, which reconstruction reads; each layer is
-decoded into a list.  Each level becomes one 0/1 byte per mask; summed as
+Every table, layers included, stays as its levels while it is filled.  Two
+layers are the same table when they hold the same masks at every level,
+reading past the end of the shorter list as its last level (an OR of grown
+lists can end in repeated levels), and an entry is the least level holding
+the mask.  Only the submask search of a YES that pays for reds decodes the
+layers into lists.  Each level becomes one 0/1 byte per mask; summed as
 base-256 integers, byte m counts the levels holding mask m.  The count is at
 most b + 1 < 256, so no byte carries into the next, and a lookup turns it
 into the least level holding the mask, or the sentinel when no level does.
@@ -99,7 +103,6 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -116,28 +119,19 @@ MAX_TABLE_BYTES = 1 << 26
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its byte value
 
 
-@dataclass
-class DpTables:
-    blues: tuple[int, ...]
-    reds: tuple[int, ...]
-    infinity: int
-    w: dict[tuple[int, int | None], int]
-    t: list[list[int]]
-
-
 def table_bytes(instance: Instance) -> int:
     """Estimated bytes of the tables the layers keep alive.
 
     The formula, 2 * 2^b * ((sentinel + 1) * W / 8 + 28) with W the bit
     length of 3^b, was sized for packed layer lists this module no longer
     builds; it stays so that auto's picks do not move.  The tables now are
-    the decoded layers, an 8-byte slot per mask in each of at most
-    min(b, reds) + 1 lists, and the level sets, (b + 1) bits per mask per
-    table.  b counts every blue, before implied ones are dropped, so the
-    estimate depends on the instance alone.  It stays above the measured
-    peak except when every blue needs a red of its own and all b + 1 layers
-    are filled: b one-blue sets, each paying for its own red, peak at about
-    1.2 times the estimate.
+    level sets, (b + 1) bits per mask per table, and a YES that pays for
+    reds decodes its layers, an 8-byte slot per mask in each of at most
+    min(b, reds) + 1 lists.  b counts every blue, before implied ones are
+    dropped, so the estimate depends on the instance alone.  It stays above
+    the measured peak except when every blue needs a red of its own and all
+    b + 1 layers are filled and decoded: b one-blue sets, each paying for
+    its own red, peak at about 1.2 times the estimate.
     """
     b = len(instance.index.blues)
     return 2 * (1 << b) * ((instance.num_sets + 2) * (3**b).bit_length() // 8 + 28)
@@ -247,6 +241,11 @@ def _level(levels: list[int], j: int) -> int:
     return levels[min(j, len(levels) - 1)]
 
 
+def _entry(levels: list[int], mask: int, inf: int) -> int:
+    """The least level holding the mask, or inf when none does."""
+    return next((c for c, d in enumerate(levels) if d >> mask & 1), inf)
+
+
 def _grow(seed: list[int], masks, has: list[int]) -> list[int]:
     """The level sets of a seed table grown by a cover with the given blue masks.
 
@@ -288,22 +287,21 @@ def _decode(levels: list[int], size: int, inf: int) -> list[int]:
 
 
 def _fill(instance: Instance, usable, b: int, bound: int | None = None):
-    """Fill the tables bottom-up over b blues.
+    """Fill the tables bottom-up over b blues, all as level lists.
 
-    Returns per red the levels of the cover table w, and the layers t; t[0]
-    is w[None] decoded, and t[1], when there is one, is v, the cheapest
-    cover per mask over all reds.  bound, when given, is at most the size
-    of every cover of all b blues: the layers stop once the full mask
-    reaches it, and no red table is filled when the red-free one already
-    does.
+    Returns per red the levels of the cover table w, and the levels of the
+    layers t; t[0] is w[None], and t[1], when there is one, is v, the
+    cheapest cover per mask over all reds.  bound, when given, is at most
+    the size of every cover of all b blues: the layers stop once the full
+    mask reaches it, and no red table is filled when the red-free one
+    already does.
     """
-    size = 1 << b
-    inf = instance.num_sets + 1
+    full, inf = (1 << b) - 1, instance.num_sets + 1
     has = _holding(b)
     free = {bm for _, bm in usable[None]}
     w: dict[int | None, list[int]] = {None: _grow([1], free, has)}
-    t = [_decode(w[None], size, inf)]
-    if t[0][-1] == bound:
+    t = [w[None]]
+    if _entry(t[0], full, inf) == bound:
         return w, t  # no cover of every blue is smaller
     own = {red: {bm for _, bm in sets} - free for red, sets in usable.items() if red is not None}
     w.update((red, _grow(w[None], masks, has)) for red, masks in own.items())
@@ -312,30 +310,14 @@ def _fill(instance: Instance, usable, b: int, bound: int | None = None):
         return w, t
     grown = list(w.values())  # layer 1, v, is the OR of the cover tables
     while True:
-        levels = [reduce(or_, (_level(g, c) for g in grown)) for c in range(max(map(len, grown)))]
-        cur = _decode(levels, size, inf)
-        if cur == t[-1]:
+        top = max(map(len, grown))
+        levels = [reduce(or_, (_level(g, c) for g in grown)) for c in range(top)]
+        if all(_level(levels, c) == _level(t[-1], c) for c in range(max(top, len(t[-1])))):
             return w, t  # stationary: every later layer is identical
-        t.append(cur)
-        if len(t) > layers or cur[-1] == bound:
+        t.append(levels)
+        if len(t) > layers or _entry(levels, full, inf) == bound:
             return w, t
         grown = [_grow(levels, masks, has) for masks in own.values()]
-
-
-def compute_tables(instance: Instance) -> DpTables:
-    """Fill both tables over every blue, implied ones too, and with no bound (for tests).
-
-    Every cover table is decoded from its levels into DpTables.w.
-    """
-    reds, usable = _usable(instance)
-    w, t = _fill(instance, usable, instance.num_blue)
-    size, inf = 1 << instance.num_blue, instance.num_sets + 1
-    flat = {
-        (mask, red): value
-        for red, levels in w.items()
-        for mask, value in enumerate(_decode(levels, size, inf))
-    }
-    return DpTables(instance.index.blues, reds, inf, flat, t)
 
 
 def dp_solve(instance: Instance) -> Solution | None:
@@ -357,26 +339,29 @@ def dp_solve(instance: Instance) -> Solution | None:
         return None  # a blue in no usable set, or more blues pairwise apart than lines
     kept, usable = _drop_implied_blues(instance, usable)
     w, t = _fill(instance, usable, len(kept), bound)
-    rest = (1 << len(kept)) - 1
-    optimum = t[-1][rest]
-    if optimum >= instance.num_sets + 1 or optimum > instance.budget_lines:
+    rest, inf = (1 << len(kept)) - 1, instance.num_sets + 1
+    optimum = _entry(t[-1], rest, inf)
+    if optimum >= inf or optimum > instance.budget_lines:
         return None
     chosen: set[int] = set()
 
     def cover(mask: int, red: int | None):
         levels = w[red]
         while mask:
-            below = levels[next(j for j, d in enumerate(levels) if d >> mask & 1) - 1]
+            below = levels[_entry(levels, mask, inf) - 1]
             sid, bm = next(
                 (sid, bm) for sid, bm in usable[red] if bm & mask and below >> (mask & ~bm) & 1
             )
             chosen.add(sid)
             mask &= ~bm
 
-    for j in range(len(t) - 1, 0, -1):
-        prev, v = t[j - 1], t[1]  # layer 1 is v
+    # The submask search reads the layers as lists; with no layer past t[0]
+    # it does not run, and nothing is decoded.
+    layers = [_decode(levels, rest + 1, inf) for levels in t] if len(t) > 1 else []
+    for j in range(len(layers) - 1, 0, -1):
+        prev, v = layers[j - 1], layers[1]  # layer 1 is v
         part = next(
-            s for s in range(rest + 1) if s & rest == s and v[s] + prev[rest ^ s] == t[j][rest]
+            s for s in range(rest + 1) if s & rest == s and v[s] + prev[rest ^ s] == layers[j][rest]
         )
         cover(part, next(red for red in w if _level(w[red], v[part]) >> part & 1))
         rest ^= part

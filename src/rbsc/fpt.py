@@ -201,24 +201,6 @@ def _search(reduced: Instance, stats: SolveStats | None) -> list[int] | None:
     return None if fam is None else picked + fam
 
 
-def solve_one_blue_special(instance: Instance, *, stats: SolveStats | None = None) -> Solution | None:
-    """Decide an instance in which every set covers exactly one blue element.
-
-    The search of solve_kl_kr runs on the instance as given, without the
-    kernel, so the family need not be a linear set system.  A blue in no set
-    is a NO, and more blues than the line budget cut the tree at its root.
-    """
-    _require_unweighted(instance)
-    _require_finite_budget(instance)
-    for sid, (bm, _) in instance.index.sets.items():
-        if bm.bit_count() != 1:
-            raise PreconditionViolated(
-                f"set {sid} has {bm.bit_count()} blue elements; exactly one is required"
-            )
-    fam = _search(instance, stats)
-    return None if fam is None else model.certify(instance, fam)
-
-
 def solve_kl_kr(instance: Instance, *, stats: SolveStats | None = None) -> Solution | None:
     """Decide a finite-budget linear-system instance.
 

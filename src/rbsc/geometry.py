@@ -27,10 +27,6 @@ class PlanePoint:
     x: Fraction
     y: Fraction
 
-    @staticmethod
-    def of(x, y) -> "PlanePoint":
-        return PlanePoint(Fraction(x), Fraction(y))
-
     def __repr__(self) -> str:
         return f"({self.x}, {self.y})"
 

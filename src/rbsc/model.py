@@ -108,26 +108,8 @@ class Instance:
                     holders.setdefault(pair, [held]).append(sid)
         return tuple(sorted({p for sids in holders.values() for p in combinations(sids, 2)}))
 
-    def element(self, eid: int) -> Element:
-        return self._by_eid[eid]
-
-    def has_element(self, eid: int) -> bool:
-        return eid in self._by_eid
-
     def members(self, sid: int) -> frozenset[int]:
         return self._members[sid]
-
-    @property
-    def set_ids(self) -> list[int]:
-        return [sid for sid, _ in self.family]
-
-    @cached_property
-    def blue_ids(self) -> frozenset[int]:
-        return frozenset(e.eid for e in self.elements if e.color == BLUE)
-
-    @cached_property
-    def red_ids(self) -> frozenset[int]:
-        return frozenset(e.eid for e in self.elements if e.color == RED)
 
     @property
     def num_blue(self) -> int:
@@ -140,12 +122,6 @@ class Instance:
     @property
     def num_sets(self) -> int:
         return len(self.family)
-
-    def blue_members(self, sid: int) -> frozenset[int]:
-        return self._members[sid] & self.blue_ids
-
-    def red_members(self, sid: int) -> frozenset[int]:
-        return self._members[sid] & self.red_ids
 
     def color_of(self, eid: int) -> str:
         return self._by_eid[eid].color

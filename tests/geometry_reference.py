@@ -52,9 +52,10 @@ def maximal_collinear_family(points: list[PlanePoint]) -> dict[LineEquation, fro
 def validate(instance: Instance) -> ValidationReport:
     """model.validate with each set's line tested on Fraction coordinates."""
     rep = ValidationReport()
+    by_eid = {el.eid: el for el in instance.elements}
     for sid, mem in instance.family:
         for eid in sorted(mem):
-            if not instance.has_element(eid):
+            if eid not in by_eid:
                 rep.violations.append(f"set {sid} references missing element {eid}")
     if instance.mode == GEOMETRIC:
         coords = {}
@@ -69,9 +70,9 @@ def validate(instance: Instance) -> ValidationReport:
                 coords[el.point] = el.eid
         for sid, mem in instance.family:
             pts = [
-                (eid, instance.element(eid).point)
+                (eid, by_eid[eid].point)
                 for eid in sorted(mem)
-                if instance.has_element(eid) and instance.element(eid).point is not None
+                if eid in by_eid and by_eid[eid].point is not None
             ]
             if len(pts) < 2 or pts[0][1] == pts[1][1]:
                 continue  # coincident points already reported

@@ -115,11 +115,11 @@ class _OneBlueContext:
     __slots__ = ("blues", "sets", "by_blue")
 
     def __init__(self, instance: Instance):
-        self.blues = tuple(sorted(instance.blue_ids))
+        self.blues = instance.index.blues
         self.sets: dict[int, tuple[int, int]] = {}
         self.by_blue: dict[int, list[int]] = {}
         for sid, split in sorted(instance.index.sets.items()):
-            blue = instance.blue_members(sid)
+            blue = instance.members(sid) & frozenset(self.blues)
             if len(blue) != 1:
                 raise PreconditionViolated(
                     f"set {sid} has {len(blue)} blue elements; exactly one is required"

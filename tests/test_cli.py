@@ -287,6 +287,28 @@ def test_kernelize_writes_the_pipeline_trace_and_kernel(tmp_path, capsys):
                 assert f"forced {len(res.forced)}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [4, 16])
+def test_kernelize_keeps_the_decision_at_the_least_feasible_budgets(tmp_path, capsys, n):
+    # A cycle of n two-element sets needs ceil(n / 2) of them.  As lines,
+    # each set is a red and each element a line through it, so at that
+    # budget the red budget is tight: a kernel with one red too few turns
+    # the YES into a NO.  One set fewer is a NO.
+    sets = tuple(frozenset({u, u % n + 1}) for u in range(1, n + 1))
+    need = -(-n // 2)
+    for k, decision in ((need, 0), (need - 1, 1)):
+        cover, path = tmp_path / f"c{n}k{k}.sc", tmp_path / f"c{n}k{k}.rbsc"
+        cover.write_text(generators.serialize_setcover(generators.SetCoverInstance(n, sets, k)))
+        assert cli.main(["generate", "setcover", "--input", str(cover), "--out", str(path)]) == 0
+        assert cli.main(["solve", str(path)]) == decision
+        for param in cli.PIPELINES:
+            kern = tmp_path / f"c{n}k{k}.{param}.kernel"
+            rc = cli.main(["kernelize", str(path), "--param", param, "--out", str(kern)])
+            if rc == 1:
+                assert decision == 1
+            else:
+                assert rc == 0 and cli.main(["solve", str(kern)]) == decision
+
+
 def test_generate_roundtrip_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.rbsc", tmp_path / "b.rbsc"
     assert cli.main(["generate", "random", "--seed", "7", "--profile", "one-blue", "--out", str(out1)]) == 0

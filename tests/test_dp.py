@@ -1,7 +1,7 @@
 import hashlib
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -10,10 +10,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abstract_instance, brute_min_family_size
+from conftest import abstract_instance, blue_ids, brute_min_family_size
 from rbsc import cli, dp, generators, model, oracle
 from rbsc.errors import PreconditionViolated, RbscError, RedDegreeExceeded, TooManyBlues
 from rbsc.model import ABSTRACT, BLUE, RED, Element, Instance
+
+
+@dataclass
+class DpTables:
+    blues: tuple[int, ...]
+    reds: tuple[int, ...]
+    infinity: int
+    w: dict[tuple[int, int | None], int]
+    t: list[list[int]]
+
+
+def compute_tables(instance) -> DpTables:
+    """dp's tables over every blue, implied ones too, with no bound, decoded into lists."""
+    reds, usable = dp._usable(instance)
+    w, t = dp._fill(instance, usable, instance.num_blue)
+    size, inf = 1 << instance.num_blue, instance.num_sets + 1
+    flat = {
+        (mask, red): value
+        for red, levels in w.items()
+        for mask, value in enumerate(dp._decode(levels, size, inf))
+    }
+    return DpTables(
+        instance.index.blues, reds, inf, flat, [dp._decode(levels, size, inf) for levels in t]
+    )
 
 
 def test_examples():
@@ -22,7 +46,7 @@ def test_examples():
     assert sol is not None and sol.chosen == {0}
 
     shared = abstract_instance("BBR", [{0, 2}, {1, 2}, {1}], 5, 1)
-    tabs = dp.compute_tables(shared)
+    tabs = compute_tables(shared)
     full = 0b11
     assert tabs.t[1][full] == 2
     assert tabs.t[0][full] == tabs.infinity
@@ -51,7 +75,7 @@ def test_preconditions():
 
 def _full_tabulation(instance):
     """Independent bottom-up computation of the per-red cover table."""
-    blues = sorted(instance.blue_ids)
+    blues = sorted(blue_ids(instance))
     bit = {eid: 1 << i for i, eid in enumerate(blues)}
     inf = instance.num_sets + 1
     reds = sorted(
@@ -91,7 +115,7 @@ def test_tables_match_full_tabulation():
     )
     for seed in range(60):
         inst = generators.gen_random(seed, profile)
-        tabs = dp.compute_tables(inst)
+        tabs = compute_tables(inst)
         blues, reds, inf, reference = _full_tabulation(inst)
         assert tabs.blues == tuple(blues) and tabs.reds == tuple(reds)
         for (mask, red), value in reference.items():
@@ -104,7 +128,7 @@ def test_w_none_equals_red_free_cover_size():
     )
     for seed in range(40):
         inst = generators.gen_random(3000 + seed, profile)
-        tabs = dp.compute_tables(inst)
+        tabs = compute_tables(inst)
         full = (1 << len(tabs.blues)) - 1
         # red-free cover oracle: drop every set containing a red element
         redfree = [
@@ -126,7 +150,7 @@ def test_table_monotonicity():
     )
     for seed in range(40):
         inst = generators.gen_random(4000 + seed, profile)
-        tabs = dp.compute_tables(inst)
+        tabs = compute_tables(inst)
         full = (1 << len(tabs.blues)) - 1
         for j in range(1, len(tabs.t)):
             for mask in range(full + 1):
@@ -383,7 +407,7 @@ LAYER_PROFILE = generators.RandomProfile(
 @given(seed=st.integers(0, 2**32 - 1))
 def test_cover_product_layers_match_reference(seed):
     inst = generators.gen_random(seed, LAYER_PROFILE)
-    assert dp.compute_tables(inst).t == _reference_layers(inst)
+    assert compute_tables(inst).t == _reference_layers(inst)
 
 
 def test_cover_product_layers_on_tie_saturated_instance():
@@ -391,7 +415,7 @@ def test_cover_product_layers_on_tie_saturated_instance():
     # one-set cover with the red and one without it, so every table ties.
     blues = range(11)
     inst = abstract_instance("B" * 11 + "R", [set(blues), {*blues, 11}], 2, 5)
-    tabs = dp.compute_tables(inst)
+    tabs = compute_tables(inst)
     assert tabs.t == _reference_layers(inst)
     assert tabs.t[0][(1 << 11) - 1] == 1
     sol = dp.dp_solve(inst)
@@ -417,13 +441,13 @@ def test_tables_match_full_tabulation_on_deep_covers():
         abstract_instance("B" * 12 + "RRR", deeper[:-1], 12, 2),
     ]
     for inst in instances:
-        tabs = dp.compute_tables(inst)
+        tabs = compute_tables(inst)
         blues, reds, inf, reference = _full_tabulation(inst)
         full = (1 << len(blues)) - 1
         assert tabs.w == reference
         assert tabs.t == _reference_layers(inst)
         assert reference[(full, None)] == inf
-    assert dp.compute_tables(instances[0]).w[((1 << 10) - 1, 10)] == 9
+    assert compute_tables(instances[0]).w[((1 << 10) - 1, 10)] == 9
 
 
 def _set_cover_chain(n, k):
@@ -441,7 +465,7 @@ def _set_cover_chain(n, k):
 def test_set_cover_chain_layers_match_reference(n):
     # Many reds and no red-free set: the layers run five or six deep.
     inst = _set_cover_chain(n, -(-n // 2))
-    t = dp.compute_tables(inst).t
+    t = compute_tables(inst).t
     assert t == _reference_layers(inst) and len(t) >= 5
 
 
@@ -454,6 +478,21 @@ def test_set_cover_chains_through_dp(n):
     assert model.verify(yes, sol.chosen).feasible
     no = _set_cover_chain(n, need - 1)
     assert dp.dp_solve(no) is None
+
+
+def test_set_cover_chain_no_decodes_no_layer(monkeypatch):
+    # The n = 16 chain needs 8 sets and a red layer per set.  At budget 7
+    # the layers run as level lists and no layer is decoded; the YES at
+    # budget 8 decodes them for its submask search.
+    def no_decode(*args):
+        raise AssertionError("a layer was decoded")
+
+    monkeypatch.setattr(dp, "_decode", no_decode)
+    assert dp.dp_solve(_set_cover_chain(16, 7)) is None
+    monkeypatch.undo()
+    sol = dp.dp_solve(_set_cover_chain(16, 8))
+    assert sol is not None
+    assert sorted(sol.chosen) == [0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21, 24, 25, 28, 29]
 
 
 def _watch_grow(monkeypatch):
@@ -492,13 +531,14 @@ def _agrees_with_brute_force(inst, sol):
 
 
 def _watch_layers(monkeypatch):
-    """Record the red keys of w and the layers of every _fill result."""
+    """Record the red keys of w and the decoded layers of every _fill result."""
     results = []
     fill = dp._fill
 
-    def watched(*args):
-        w, t = fill(*args)
-        results.append((list(w), t))
+    def watched(instance, usable, b, bound=None):
+        w, t = fill(instance, usable, b, bound)
+        inf = instance.num_sets + 1
+        results.append((list(w), [dp._decode(levels, 1 << b, inf) for levels in t]))
         return w, t
 
     monkeypatch.setattr(dp, "_fill", watched)
@@ -546,7 +586,7 @@ def test_layers_stop_at_the_packing_bound(monkeypatch):
     assert [layer[-1] for layer in t] == [4, 3, 2]
     assert len(grown) == 7
     grown.clear()  # without the bound, layer 3 is grown too and found stationary
-    assert dp.compute_tables(inst).t == t and len(grown) == 10
+    assert compute_tables(inst).t == t and len(grown) == 10
 
 
 def test_no_table_without_lines_or_with_an_uncovered_blue(monkeypatch):
@@ -557,7 +597,7 @@ def test_no_table_without_lines_or_with_an_uncovered_blue(monkeypatch):
     uncovered = abstract_instance("BBBR", [{0, 3}, {1}], 5, 1)
     empty = dp.dp_solve(abstract_instance("R", [{0}], 0, 0))  # no blue: nothing to cover
     assert empty is not None and empty.chosen == set()
-    filled = [dp.compute_tables(no_lines), dp.compute_tables(uncovered)]
+    filled = [compute_tables(no_lines), compute_tables(uncovered)]
     assert filled[0].t[0][(1 << 16) - 1] == 1
     assert filled[1].t[-1][0b111] == filled[1].infinity
     monkeypatch.setattr(dp, "_fill", no_table)

@@ -7,12 +7,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abstract_instance, geometric_instance, intersection_graph
+from conftest import (
+    abstract_instance,
+    blue_ids,
+    blue_members,
+    geometric_instance,
+    intersection_graph,
+    red_members,
+    set_ids,
+)
 from good_tuples import GoodTuple, check_conforming, enumerate_good_tuples
 from rbsc import cli, fpt, generators, model, oracle
 from rbsc.errors import DegreeExceeded, PreconditionViolated, RbscError
 from rbsc.fpt import SolveStats
 from rbsc.model import BLUE, RED
+
+
+def solve_one_blue_special(instance, *, stats=None):
+    """Decide an instance in which every set covers exactly one blue element.
+
+    fpt's search runs on the instance as given, without the kernel, so the
+    family need not be a linear set system.  A blue in no set is a NO, and
+    more blues than the line budget cut the tree at its root.
+    """
+    fpt._require_unweighted(instance)
+    fpt._require_finite_budget(instance)
+    for sid, (bm, _) in instance.index.sets.items():
+        if bm.bit_count() != 1:
+            raise PreconditionViolated(
+                f"set {sid} has {bm.bit_count()} blue elements; exactly one is required"
+            )
+    fam = fpt._search(instance, stats)
+    return None if fam is None else model.certify(instance, fam)
 
 
 def one_blue_pair_instance(budget_red=1):
@@ -133,7 +159,7 @@ def test_conformity_block_coverage_property():
         inst = generators.gen_random(seed, profile)
         if inst.budget_lines is None or inst.num_blue > inst.budget_lines:
             continue
-        tuples = list(enumerate_good_tuples(sorted(inst.blue_ids), inst.budget_lines, inst.budget_red))
+        tuples = list(enumerate_good_tuples(sorted(blue_ids(inst)), inst.budget_lines, inst.budget_red))
         rng.shuffle(tuples)
         for tup in tuples[:10]:
             fam = check_conforming(inst, tup)
@@ -144,18 +170,18 @@ def test_conformity_block_coverage_property():
             for ordering in tup.orderings:
                 block_sets = [
                     sid for sid in fam
-                    if next(iter(inst.blue_members(sid))) in set(ordering)
+                    if next(iter(blue_members(inst, sid))) in set(ordering)
                 ]
-                blues_hit = {next(iter(inst.blue_members(sid))) for sid in block_sets}
+                blues_hit = {next(iter(blue_members(inst, sid))) for sid in block_sets}
                 assert blues_hit == set(ordering)
             reds = set()
             for sid in fam:
-                reds |= inst.red_members(sid)
+                reds |= red_members(inst, sid)
             assert len(reds) <= tup.red_total  # sharing may only lower the count
             # prefix connectivity within each block under the chosen ordering
             graph = intersection_graph(inst, fam)
             for ordering in tup.orderings:
-                by_blue = {next(iter(inst.blue_members(sid))): sid for sid in fam}
+                by_blue = {next(iter(blue_members(inst, sid))): sid for sid in fam}
                 prefix = []
                 for blue in ordering:
                     sid = by_blue[blue]
@@ -170,16 +196,16 @@ def test_conformity_block_coverage_property():
 
 
 def test_solve_one_blue_examples():
-    yes = fpt.solve_one_blue_special(one_blue_pair_instance(1))
+    yes = solve_one_blue_special(one_blue_pair_instance(1))
     assert yes is not None and yes.chosen == {0, 1}
-    assert fpt.solve_one_blue_special(one_blue_pair_instance(0)) is None
+    assert solve_one_blue_special(one_blue_pair_instance(0)) is None
     crowded = geometric_instance(
         [(0, 0, BLUE), (3, 1, BLUE), (0, 5, BLUE), (1, 1, RED)],
         [{0, 3}, {1, 3}, {2, 3}],
         2,
         1,
     )
-    assert fpt.solve_one_blue_special(crowded) is None  # three blues, budget two
+    assert solve_one_blue_special(crowded) is None  # three blues, budget two
 
 
 def _one_blue_states(inst):
@@ -187,15 +213,15 @@ def _one_blue_states(inst):
     if inst.num_blue > inst.budget_lines:
         return set()
     by_blue = {}
-    for sid in inst.set_ids:
-        (blue,) = inst.blue_members(sid)
+    for sid in set_ids(inst):
+        (blue,) = blue_members(inst, sid)
         by_blue.setdefault(blue, []).append(sid)
     states = set()
     blues = sorted(by_blue)
     for size in range(1, len(blues) + 1):
         for subset in combinations(blues, size):
             for fam in product(*(by_blue[x] for x in subset)):
-                reds = frozenset().union(*(inst.red_members(sid) for sid in fam))
+                reds = frozenset().union(*(red_members(inst, sid) for sid in fam))
                 if len(reds) > inst.budget_red:
                     continue
                 graph = intersection_graph(inst, fam)
@@ -216,11 +242,11 @@ def test_solve_one_blue_matches_literal_stream():
     for seed in range(150):
         inst = generators.gen_random(seed, profile)
         stats = SolveStats()
-        sol = fpt.solve_one_blue_special(inst, stats=stats)
+        sol = solve_one_blue_special(inst, stats=stats)
         literal = None
         if inst.num_blue <= inst.budget_lines:
             for tup in enumerate_good_tuples(
-                sorted(inst.blue_ids), inst.budget_lines, inst.budget_red
+                sorted(blue_ids(inst)), inst.budget_lines, inst.budget_red
             ):
                 literal = check_conforming(inst, tup)
                 if literal is not None:
@@ -242,7 +268,7 @@ def test_one_blue_solvers_match_brute_force(seed, max_budget_red):
     )
     inst = generators.gen_random(seed, profile)
     expected = oracle.brute_force_solve(inst)
-    for solver in (fpt.solve_one_blue_special, fpt.solve_kl_kr):
+    for solver in (solve_one_blue_special, fpt.solve_kl_kr):
         got = solver(inst)
         assert (got is None) == (expected is None), solver.__name__
         if got is not None:
@@ -268,7 +294,7 @@ def test_one_blue_nine_blue_no_stays_small():
     inst = abstract_instance("B" * b + "R" * len(reds), family, b, 2)
     assert model.is_linear_system(inst)
     stats = SolveStats()
-    assert fpt.solve_one_blue_special(inst, stats=stats) is None
+    assert solve_one_blue_special(inst, stats=stats) is None
     # every state is a (blue mask, red set of size <= 2) pair: 2^9 * (1 + 11 + 55) at most
     assert 0 < stats.tuples <= 2**b * 67
 
@@ -369,13 +395,13 @@ def test_red_budget_cap_at_d_times_budget_lines_changes_no_search():
 
 def test_solve_kl_kr_counts_tree_nodes():
     # no multi-blue set: the root marks blue 0, its child marks blue 1, the leaf runs the core
-    for solver in (fpt.solve_kl_kr, fpt.solve_one_blue_special):
+    for solver in (fpt.solve_kl_kr, solve_one_blue_special):
         stats = SolveStats()
         assert solver(one_blue_pair_instance(), stats=stats) is not None
         assert (stats.branches, stats.pruned) == (3, 0), solver.__name__
     # blue 1 lies in no set: the tree stops there and the one-blue search never runs
     stats = SolveStats()
-    assert fpt.solve_one_blue_special(abstract_instance("BBR", [{0, 2}], 2, 1), stats=stats) is None
+    assert solve_one_blue_special(abstract_instance("BBR", [{0, 2}], 2, 1), stats=stats) is None
     assert (stats.branches, stats.pruned, stats.tuples) == (2, 0, 0)
     # kernel drops the red set {0, 1, 3}; root picks {0, 2}, its child picks {1, 2}, a leaf
     stats = SolveStats()
@@ -394,7 +420,7 @@ def test_one_blue_core_ties_go_to_the_largest_block():
     # sets 0 and 1 share red 2, set 2 holds blue 0 alone: the block {blue 0, blue 1}
     # costs one red, and so do the blocks {blue 0} (set 2) and {blue 1} (set 1)
     inst = abstract_instance("BBR", [{0, 2}, {1, 2}, {0}], 2, 1)
-    for solver in (fpt.solve_kl_kr, fpt.solve_one_blue_special):
+    for solver in (fpt.solve_kl_kr, solve_one_blue_special):
         stats = SolveStats()
         sol = solver(inst, stats=stats)
         assert sol is not None and sol.chosen == {0, 1}, solver.__name__
@@ -411,7 +437,7 @@ def test_one_blue_core_ties_go_to_the_largest_block_where_blocks_outnumber_subma
     sets = [{0, 8}, {2, 8}, {4, 8}, {5, 8}, {1, 6}, {1, 9, 10}, {3, 7}, {3, 10}]
     sets += [{2, 6, 11, 12}, {4, 6, 13}, {5, 6, 14}]
     inst = abstract_instance("B" * 6 + "R" * 9, sets, 6, 3)
-    for solver in (fpt.solve_kl_kr, fpt.solve_one_blue_special):
+    for solver in (fpt.solve_kl_kr, solve_one_blue_special):
         stats = SolveStats()
         sol = solver(inst, stats=stats)
         assert sol is not None and sol.chosen == {0, 1, 2, 3, 5, 7}, solver.__name__
@@ -564,7 +590,7 @@ def test_one_blue_family_structure():
     found = 0
     for seed in range(200):
         inst = generators.gen_random(seed, profile)
-        sol = fpt.solve_one_blue_special(inst)
+        sol = solve_one_blue_special(inst)
         if sol is None:
             continue
         found += 1
@@ -586,10 +612,10 @@ def test_one_blue_family_structure():
             blocks[start] = comp
         union = set()
         for comp in blocks.values():
-            blues = {next(iter(inst.blue_members(sid))) for sid in comp}
+            blues = {next(iter(blue_members(inst, sid))) for sid in comp}
             assert len(blues) == len(comp)
             union |= blues
-        assert union == inst.blue_ids
+        assert union == blue_ids(inst)
     assert found > 30
 
 
@@ -602,6 +628,9 @@ def _outcome(solver, inst) -> str:
     else:
         head = "no" if sol is None else "yes " + " ".join(map(str, sorted(sol.chosen)))
     return f"{head} | {stats.branches} {stats.pruned} {stats.tuples}"
+
+
+SOLVERS = {"solve_kl_kr": fpt.solve_kl_kr, "solve_one_blue_special": solve_one_blue_special}
 
 
 @pytest.mark.parametrize(
@@ -622,7 +651,7 @@ def test_decisions_witnesses_and_counters_are_pinned(solver, profile, digest):
     # and text, then branches, pruned and tuples.  Any change to what the solver
     # returns, to its tie-breaks or to the work it counts changes the digest.
     lines = "".join(
-        _outcome(getattr(fpt, solver), generators.gen_random(seed, cli.PROFILES[profile])) + "\n"
+        _outcome(SOLVERS[solver], generators.gen_random(seed, cli.PROFILES[profile])) + "\n"
         for seed in range(300)
     )
     assert hashlib.sha256(lines.encode()).hexdigest() == digest

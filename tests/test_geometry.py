@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geometry_reference as ref
+from conftest import point
 from rbsc import cli, generators, model
 from rbsc.errors import DuplicatePoints, EqualPoints, SameLine
 from rbsc.geometry import (
@@ -18,7 +19,7 @@ from rbsc.geometry import (
     maximal_collinear_family,
 )
 
-P = PlanePoint.of
+P = point
 
 
 def test_collinear_examples():

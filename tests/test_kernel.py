@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abstract_instance
+from conftest import abstract_instance, element, set_ids
 from rbsc import cli, generators, kernel, model, oracle
 from rbsc.errors import BoundedBudget, NotLinearSystem
 from rbsc.model import ABSTRACT, RED
@@ -21,7 +21,7 @@ def _applied(entry, inst):
 def test_delete_red_only_examples():
     inst = abstract_instance("RRB", [{0, 1}, {2}], 3, 2)
     reduced, forced = _applied(kernel.rule_delete_red_only(inst), inst)
-    assert reduced.set_ids == [1] and not forced
+    assert set_ids(reduced) == [1] and not forced
     assert kernel.rule_delete_red_only(reduced) is None
 
 
@@ -181,14 +181,14 @@ def test_kernelize_ell_merges_exclusive_reds():
     assert not res.is_no
     red = res.instance
     reds = sorted(e.eid for e in red.elements if e.color == RED)
-    assert reds == [1] and red.element(1).weight == 3
+    assert reds == [1] and element(red, 1).weight == 3
 
     # a set vanishing can strand reds, which then merge into the survivor
     inst2 = abstract_instance("BRRRR", [{0, 1, 2, 3, 4}, {4}], 2, 4)
     res2 = kernel.kernelize_ell(inst2)
     survivor = res2.instance
     reds2 = sorted(e.eid for e in survivor.elements if e.color == RED)
-    assert reds2 == [1] and survivor.element(1).weight == 4
+    assert reds2 == [1] and element(survivor, 1).weight == 4
     assert survivor.num_blue == 1
 
 
@@ -196,7 +196,7 @@ def test_kernelize_ell_keeps_shared_reds_unit_weight():
     inst = abstract_instance("BRB", [{0, 1}, {1, 2}], 2, 1)
     res = kernel.kernelize_ell(inst)
     red = res.instance
-    assert red.element(1).weight == 1
+    assert element(red, 1).weight == 1
     assert red.num_red == 1
 
 

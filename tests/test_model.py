@@ -8,10 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abstract_instance, geometric_instance, with_random_weights
+from conftest import (
+    abstract_instance,
+    blue_ids,
+    blue_members,
+    element,
+    geometric_instance,
+    point,
+    red_ids,
+    red_members,
+    set_ids,
+    with_random_weights,
+)
 from rbsc import cli, generators, kernel, model
 from rbsc.errors import ParseError, SemanticError, UnknownSetId
-from rbsc.geometry import PlanePoint
 from rbsc.model import (
     ABSTRACT,
     BLUE,
@@ -100,7 +110,7 @@ def test_validate_dangling_and_mode_mismatch():
     inst = Instance((Element(0, BLUE),), ((0, frozenset({0, 7})),), 1, 0, ABSTRACT)
     rep = validate(inst)
     assert any("missing element 7" in v for v in rep.violations)
-    geo = Instance((Element(0, BLUE, PlanePoint.of(0, 0)),), (), 1, 0, ABSTRACT)
+    geo = Instance((Element(0, BLUE, point(0, 0)),), (), 1, 0, ABSTRACT)
     assert any("abstract" in v for v in validate(geo).violations)
 
 
@@ -140,15 +150,15 @@ def test_verify_is_pinned():
             rng = random.Random(seed)
             for variant in (inst, with_random_weights(inst, seed)):
                 for _ in range(3):
-                    chosen = [sid for sid in variant.set_ids if rng.random() < 0.4]
+                    chosen = [sid for sid in set_ids(variant) if rng.random() < 0.4]
                     sol = verify(variant, chosen)
                     records.append(
                         f"{name} {seed} {sorted(sol.chosen)} {sol.blue_covered} "
                         f"{sol.red_covered} {sol.feasible} {sol.shortfalls}"
                     )
-                unknown = max(variant.set_ids, default=-1) + 1
+                unknown = max(set_ids(variant), default=-1) + 1
                 with pytest.raises(UnknownSetId) as err:
-                    verify(variant, [*variant.set_ids[:1], unknown])
+                    verify(variant, [*set_ids(variant)[:1], unknown])
                 records.append(f"{name} {seed} {err.value}")
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == "f00df50da29890a7295508117d2c425d7f4f8429b956da5e115476b23c0b4d41"
@@ -343,21 +353,21 @@ def test_index_matches_independent_split():
     for inst in cases:
         ix = inst.index
         assert ix is inst.index
-        color = {e.eid: inst.element(e.eid).color for e in inst.elements}
-        weight = {e.eid: inst.element(e.eid).weight for e in inst.elements}
+        color = {e.eid: element(inst, e.eid).color for e in inst.elements}
+        weight = {e.eid: element(inst, e.eid).weight for e in inst.elements}
         blues = sorted(eid for eid, c in color.items() if c == BLUE)
         reds = sorted(eid for eid, c in color.items() if c == RED)
         assert ix.blues == tuple(blues) and ix.reds == tuple(reds)
-        assert inst.blue_ids == set(blues) and inst.red_ids == set(reds)
+        assert blue_ids(inst) == set(blues) and red_ids(inst) == set(reds)
         assert inst.num_blue == len(blues) and inst.num_red == len(reds)
         assert inst.is_weighted() == any(w != 1 for w in weight.values())
-        assert list(ix.sets) == inst.set_ids
+        assert list(ix.sets) == set_ids(inst)
         for sid, mem in inst.family:
             blue = {e for e in mem if color[e] == BLUE}
             red = {e for e in mem if color[e] == RED}
             split = ix.sets[sid]
             assert split._fields == ("blue_mask", "red_mask")
-            assert blue == inst.blue_members(sid) and red == inst.red_members(sid)
+            assert blue == blue_members(inst, sid) and red == red_members(inst, sid)
             assert ix.red_weight(split.red_mask) == sum(weight[e] for e in red)
             assert split.blue_mask == sum(1 << blues.index(e) for e in blue)
             assert split.red_mask == sum(1 << reds.index(e) for e in red)
