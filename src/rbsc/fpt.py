@@ -13,9 +13,8 @@ therefore works per blue mask:
     reds any of its states covers;
   * a min-sum set partition over the blocks that exist, g[m] = min over
     blocks B within m holding m's lowest blue of cost[B] + g[m - B],
-    combines them, and the answer is YES iff g[all blues] <= budget_red.
-    It pushes each block to the masks it can start: B relaxes B + x for
-    every x among the blues above B's lowest and outside B.
+    combines them on the masks a walk down from all blues reaches, and the
+    answer is YES iff g[all blues] <= budget_red.
 
 General instances are reduced to the one-blue case: after kernelization at
 most budget_lines^2 blue elements survive, so at most budget_lines^4 sets
@@ -36,9 +35,9 @@ all of them.
 
 Searches are deterministic: the tree tries sets in ascending id order before
 marking, the one-blue search grows states blue by blue in id order and keeps
-the first state with the fewest reds per blue mask, and the partition keeps
-the largest block of least total.  Every solver here hands its YES family,
-kernel-forced sets included, to model.certify on the original instance.
+the first state with the fewest reds per blue mask, and the walk keeps the
+largest block of least total per mask.  Every solver here hands its YES
+family, kernel-forced sets included, to model.certify on the original instance.
 """
 
 from __future__ import annotations
@@ -72,9 +71,8 @@ def _solve_one_blue_core(
     """One set per blue covering at most budget_red reds in all, or None.
 
     groups[i] lists (set id, red mask) of the sets holding the i-th blue, in
-    id order.  The family takes one set per blue, and _search's line bound
-    has cut every leaf whose marked blues exceed the lines left, so no line
-    budget is checked here.
+    id order.  _search's line bound has cut every leaf with more marked blues
+    than lines left, so no line budget is checked here.
     """
     # via[(blue mask, red mask)]: the state and the set that first reached it
     via: dict[tuple[int, int], tuple[tuple[int, int] | None, int]] = {}
@@ -101,35 +99,37 @@ def _solve_one_blue_core(
                         via[nxt] = (state, sid)
                         queue.append(nxt)
     stats.tuples += len(via)
-    # cost[block]: see the module docstring; blocks[low]: those with lowest blue low, largest first
+    # reach[low][ends]: the union of the blocks with ends as lowest and highest blues, largest first
     cost = {mask: state[1].bit_count() for mask, state in cheapest.items()}
-    blocks: dict[int, list[int]] = {}
+    reach: dict[int, dict[int, int]] = {1 << i: {} for i in range(len(groups))}
     for mask in sorted(cost, reverse=True):
-        blocks.setdefault(mask & -mask, []).append(mask)
-    # g[m]: fewest reds over partitions of m into blocks, budget_red + 1 if none fits
-    full = (1 << len(groups)) - 1
-    g = [0] + [budget_red + 1] * full
-    # lowest blues highest first, so every rest x, above low and outside the block, is final
-    for low, listed in sorted(blocks.items(), reverse=True):
-        above = full & -(low << 1)
-        for block in listed:
-            c = cost[block]
-            free = x = above & ~block
-            while True:
-                if c + g[x] < g[block | x]:
-                    g[block | x] = c + g[x]
-                if not x:
-                    break
-                x = (x - 1) & free
-    if g[full] > budget_red:
+        tops, ends = reach[mask & -mask], mask & -mask | 1 << mask.bit_length() - 1
+        tops[ends] = tops.get(ends, 0) | mask
+    # g[m]: fewest reds over partitions of m into blocks, or budget_red + 1; first[m]: the first
+    # block of that total among ends + x, ends within m and x within free, both largest first
+    g, first = {0: 0}, {}
+    def walk(m: int) -> int:
+        best = budget_red + 1  # a block costing best or more is cut before its rest is walked
+        for ends, blues in reach[m & -m].items():
+            if ends & m == ends:
+                free = m & blues & ~ends
+                x = free + 1  # steps down through the submasks of free to 0
+                while x:
+                    x = (x - 1) & free
+                    c = cost.get(ends | x, best)
+                    if c < best:
+                        c += g[rest] if (rest := m ^ ends ^ x) in g else walk(rest)
+                        if c < best:
+                            best, first[m] = c, ends | x
+        g[m] = best
+        return best
+
+    m = (1 << len(groups)) - 1
+    if m not in g and walk(m) > budget_red:
         return None
     family: list[int] = []
-    m = full
     while m:
-        # the largest block holding m's lowest blue whose total is g[m]
-        block = next(b for b in blocks[m & -m] if b & m == b and cost[b] + g[m ^ b] == g[m])
-        step = cheapest[block]
-        m ^= block
+        step, m = cheapest[first[m]], m ^ first[m]
         while step is not None:
             step, sid = via[step]
             family.append(sid)

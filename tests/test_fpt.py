@@ -463,7 +463,7 @@ def test_solve_two_blue_never_marks_a_blue_without_one_blue_sets():
     assert (stats.branches, stats.pruned, stats.tuples) == (5, 1, 0)
 
 
-@pytest.mark.parametrize("n", [12, 16, 20])
+@pytest.mark.parametrize("n", [12, 16, 20, 30, 40])
 def test_set_cover_chains_reach_the_one_blue_core(n):
     # a cycle of n two-element sets needs ceil(n / 2) of them.  As lines, each set is a
     # red and each of its elements a one-blue line through that red, so the one-blue core
@@ -475,6 +475,36 @@ def test_set_cover_chains_reach_the_one_blue_core(n):
     assert sol is not None and model.verify(yes, sol.chosen).feasible
     no = generators.gen_setcover_lines(generators.SetCoverInstance(n, sets, need - 1))
     assert fpt.solve_kl_kr(no) is None
+
+
+def test_random_set_covers_decide_through_the_one_blue_core():
+    # n elements and n/2..n sets, each holding an element with chance 1/4, plus a singleton
+    # for every element no set holds.  Most reductions have more lines than brute force's
+    # guard, so the source problem's own enumeration is the ground truth, at the least
+    # cover budget and one below
+    rng = random.Random(5)
+    over_guard = 0
+    for _ in range(100):
+        n = rng.randint(10, 16)
+        drawn = [
+            {e for e in range(1, n + 1) if rng.random() < 0.25}
+            for _ in range(rng.randint(n // 2, n))
+        ]
+        sets = [s for s in drawn if s]
+        sets += [{e} for e in range(1, n + 1) if not any(e in s for s in sets)]
+        least = next(
+            k
+            for k in range(1, len(sets) + 1)
+            if generators.setcover_decide(generators.SetCoverInstance(n, tuple(sets), k))
+        )
+        for k in (least, least - 1):
+            sc = generators.SetCoverInstance(n, tuple(sets), k)
+            inst = generators.gen_setcover_lines(sc)
+            sol = fpt.solve_kl_kr(inst)
+            assert (sol is not None) == generators.setcover_decide(sc) == (k == least), (n, k)
+            assert sol is None or model.verify(inst, sol.chosen).feasible
+        over_guard += inst.num_sets > oracle.SUBSET_GUARD
+    assert over_guard > 50
 
 
 def test_clique_reductions_decide_through_the_one_blue_core():
