@@ -52,11 +52,9 @@ Every table, layers included, stays as its levels while it is filled.  Two
 layers are the same table when they hold the same masks at every level,
 reading past the end of the shorter list as its last level (an OR of grown
 lists can end in repeated levels), and an entry is the least level holding
-the mask.  Only the submask search of a YES that pays for reds decodes the
-layers into lists.  Each level becomes one 0/1 byte per mask; summed as
-base-256 integers, byte m counts the levels holding mask m.  The count is at
-most b + 1 < 256, so no byte carries into the next, and a lookup turns it
-into the least level holding the mask, or the sentinel when no level does.
+the mask.  The submask search of a YES that pays for reds reads levels too:
+each level of v is read backwards once, bit m holding its bit full minus m,
+so that one shift pairs every submask of the blues left with the rest.
 
 The instance is a YES exactly when the full-mask entry of layer budget_red
 is within the line budget.  Layers stop early once two consecutive layers
@@ -116,22 +114,17 @@ from .model import Instance, Solution
 # blues and 25 sets (65.5 MB) in 0.24 s at 44 MB.
 MAX_TABLE_BYTES = 1 << 26
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its byte value
-
-
 def table_bytes(instance: Instance) -> int:
     """Estimated bytes of the tables the layers keep alive.
 
     The formula, 2 * 2^b * ((sentinel + 1) * W / 8 + 28) with W the bit
     length of 3^b, was sized for packed layer lists this module no longer
     builds; it stays so that auto's picks do not move.  The tables now are
-    level sets, (b + 1) bits per mask per table, and a YES that pays for
-    reds decodes its layers, an 8-byte slot per mask in each of at most
-    min(b, reds) + 1 lists.  b counts every blue, before implied ones are
-    dropped, so the estimate depends on the instance alone.  It stays above
-    the measured peak except when every blue needs a red of its own and all
-    b + 1 layers are filled and decoded: b one-blue sets, each paying for
-    its own red, peak at about 1.2 times the estimate.
+    level sets, (b + 1) bits per mask per table.  b counts every blue,
+    before implied ones are dropped, so the estimate depends on the instance
+    alone.  It stays above the measured peak also when every blue needs a
+    red of its own and all b + 1 layers are filled: b one-blue sets, each
+    paying for its own red, peak at about half the estimate.
     """
     b = len(instance.index.blues)
     return 2 * (1 << b) * ((instance.num_sets + 2) * (3**b).bit_length() // 8 + 28)
@@ -149,8 +142,8 @@ def fits(instance: Instance) -> bool:
 def _usable(instance: Instance):
     """Check the preconditions.
 
-    Returns the reds held by some set and, per red (None first, then
-    ascending), the usable (set id, blue mask) pairs in id order.
+    Returns, per red held by some set (None first, then ascending), the
+    usable (set id, blue mask) pairs in id order.
     """
     if instance.budget_lines is None:
         raise PreconditionViolated("a finite line budget is required")
@@ -172,10 +165,9 @@ def _usable(instance: Instance):
             owned.setdefault(ix.reds[rm.bit_length() - 1], []).append((sid, bm))
         else:
             free.append((sid, bm))
-    reds = tuple(sorted(owned))
     # Sets usable while paying for a given red: red-free always, plus the
     # sets owning exactly that red.
-    return reds, {None: free, **{r: sorted(free + owned[r]) for r in reds}}
+    return {None: free, **{r: sorted(free + owned[r]) for r in sorted(owned)}}
 
 
 def _drop_implied_blues(instance: Instance, usable):
@@ -271,19 +263,9 @@ def _grow(seed: list[int], masks, has: list[int]) -> list[int]:
     return levels
 
 
-def _decode(levels: list[int], size: int, inf: int) -> list[int]:
-    """The table whose entry m is the least level holding mask m, else inf.
-
-    Each level becomes one 0/1 byte per mask; summed as base-256 integers,
-    byte m counts the levels holding m, with no carry since there are at
-    most b + 1 < 256 levels.
-    """
-    counts = sum(
-        int.from_bytes(format(d, f"0{size}b")[::-1].encode().translate(_BIT_BYTES), "little")
-        for d in levels
-    )
-    value = [inf, *range(len(levels) - 1, -1, -1)]
-    return list(map(value.__getitem__, counts.to_bytes(size, "little")))
+def _reverse(level: int, full: int) -> int:
+    """The level read backwards: bit m holds its bit full - m."""
+    return int(format(level, f"0{full + 1}b")[::-1], 2)
 
 
 def _fill(instance: Instance, usable, b: int, bound: int | None = None):
@@ -329,7 +311,7 @@ def dp_solve(instance: Instance) -> Solution | None:
     layer would give.  The witness must have the optimum's size and pass
     model.certify; either failure raises AssertionError.
     """
-    _, usable = _usable(instance)
+    usable = _usable(instance)
     if not instance.budget_red:
         usable = {None: usable[None]}  # the red-free sets alone; no layer reads the others
     masks = {bm for sets in usable.values() for _, bm in sets}
@@ -339,7 +321,8 @@ def dp_solve(instance: Instance) -> Solution | None:
         return None  # a blue in no usable set, or more blues pairwise apart than lines
     kept, usable = _drop_implied_blues(instance, usable)
     w, t = _fill(instance, usable, len(kept), bound)
-    rest, inf = (1 << len(kept)) - 1, instance.num_sets + 1
+    full = rest = (1 << len(kept)) - 1  # now over the kept blues
+    inf = instance.num_sets + 1
     optimum = _entry(t[-1], rest, inf)
     if optimum >= inf or optimum > instance.budget_lines:
         return None
@@ -355,15 +338,21 @@ def dp_solve(instance: Instance) -> Solution | None:
             chosen.add(sid)
             mask &= ~bm
 
-    # The submask search reads the layers as lists; with no layer past t[0]
-    # it does not run, and nothing is decoded.
-    layers = [_decode(levels, rest + 1, inf) for levels in t] if len(t) > 1 else []
-    for j in range(len(layers) - 1, 0, -1):
-        prev, v = layers[j - 1], layers[1]  # layer 1 is v
-        part = next(
-            s for s in range(rest + 1) if s & rest == s and v[s] + prev[rest ^ s] == layers[j][rest]
-        )
-        cover(part, next(red for red in w if _level(w[red], v[part]) >> part & 1))
+    # Layer j takes the smallest submask s of rest with v[s] + t[j - 1][rest - s]
+    # equal to t[j][rest]: the least such sum, so equal when at most it, when
+    # some c has s in level c of v and rest - s in level t[j][rest] - c of
+    # layer j - 1.  A level of v read backwards and shifted down by full ^ rest
+    # holds, at bit rest - s, its bit s, and subs holds the submasks of rest;
+    # the smallest s has the largest rest - s.
+    back = [_reverse(d, full) for d in t[1]] if len(t) > 1 else []
+    for j in range(len(t) - 1, 0, -1):
+        total, good, subs = _entry(t[j], rest, inf), 0, 1
+        for c in range(total + 1):
+            good |= _level(back, c) >> (full ^ rest) & _level(t[j - 1], total - c)
+        for i in model.bits(rest):
+            subs |= subs << (1 << i)
+        part = rest ^ ((good & subs).bit_length() - 1)
+        cover(part, next(red for red in w if _level(w[red], _entry(t[1], part, inf)) >> part & 1))
         rest ^= part
     cover(rest, None)
     if len(chosen) != optimum:

@@ -25,18 +25,25 @@ class DpTables:
     t: list[list[int]]
 
 
+def decode(levels: list[int], size: int, inf: int) -> list[int]:
+    """The table whose entry m is the least level holding mask m, else inf."""
+    rows = [format(d, f"0{size}b")[::-1] for d in levels]
+    return [next((c for c, row in enumerate(rows) if row[m] == "1"), inf) for m in range(size)]
+
+
 def compute_tables(instance) -> DpTables:
     """dp's tables over every blue, implied ones too, with no bound, decoded into lists."""
-    reds, usable = dp._usable(instance)
+    usable = dp._usable(instance)
     w, t = dp._fill(instance, usable, instance.num_blue)
     size, inf = 1 << instance.num_blue, instance.num_sets + 1
     flat = {
         (mask, red): value
         for red, levels in w.items()
-        for mask, value in enumerate(dp._decode(levels, size, inf))
+        for mask, value in enumerate(decode(levels, size, inf))
     }
+    reds = tuple(red for red in usable if red is not None)
     return DpTables(
-        instance.index.blues, reds, inf, flat, [dp._decode(levels, size, inf) for levels in t]
+        instance.index.blues, reds, inf, flat, [decode(levels, size, inf) for levels in t]
     )
 
 
@@ -480,14 +487,14 @@ def test_set_cover_chains_through_dp(n):
     assert dp.dp_solve(no) is None
 
 
-def test_set_cover_chain_no_decodes_no_layer(monkeypatch):
+def test_set_cover_chain_no_searches_no_layer(monkeypatch):
     # The n = 16 chain needs 8 sets and a red layer per set.  At budget 7
-    # the layers run as level lists and no layer is decoded; the YES at
-    # budget 8 decodes them for its submask search.
-    def no_decode(*args):
-        raise AssertionError("a layer was decoded")
+    # the layers are filled and no submask search reads them; the YES at
+    # budget 8 reads them backwards for its submask search.
+    def no_search(*args):
+        raise AssertionError("a layer was searched")
 
-    monkeypatch.setattr(dp, "_decode", no_decode)
+    monkeypatch.setattr(dp, "_reverse", no_search)
     assert dp.dp_solve(_set_cover_chain(16, 7)) is None
     monkeypatch.undo()
     sol = dp.dp_solve(_set_cover_chain(16, 8))
@@ -512,7 +519,7 @@ def _watch_grow(monkeypatch):
 def test_deep_chain_levels_stay_within_one_per_blue(monkeypatch):
     # One-blue sets in a chain: a cover uses nearly every set, so two layers
     # sum to about twice the sentinel.  Every grown table, layers included,
-    # keeps at most b + 1 levels, the count _decode's bytes can hold.
+    # keeps at most b + 1 levels, one per entry from 0 to b.
     b = 10
     sets = [{i} for i in range(b - 2)] + [{b - 2, b}, {b - 1, b + 1}]
     inst = abstract_instance("B" * b + "RR", sets, b, 2)
@@ -538,7 +545,7 @@ def _watch_layers(monkeypatch):
     def watched(instance, usable, b, bound=None):
         w, t = fill(instance, usable, b, bound)
         inf = instance.num_sets + 1
-        results.append((list(w), [dp._decode(levels, 1 << b, inf) for levels in t]))
+        results.append((list(w), [decode(levels, 1 << b, inf) for levels in t]))
         return w, t
 
     monkeypatch.setattr(dp, "_fill", watched)
@@ -631,6 +638,29 @@ def test_guard_refuses_just_over_the_limit_without_allocating():
     assert elapsed < 0.5 and peak < 1 << 20
     assert str(dp.table_bytes(over)) in str(refused.value)
     assert str(dp.MAX_TABLE_BYTES) in str(refused.value)
+
+
+def _own_reds(b):
+    """b singleton sets, each a red paying for one blue: every layer is filled."""
+    sets = tuple(frozenset({u}) for u in range(1, b + 1))
+    return generators.gen_setcover_lines(generators.SetCoverInstance(b, sets, b))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _own_reds(14), lambda: _own_reds(16), lambda: _set_cover_chain(16, 8)],
+    ids=["own-reds-14", "own-reds-16", "chain-16"],
+)
+def test_peak_stays_under_the_table_estimate(make):
+    inst = make()
+    tracemalloc.start()
+    try:
+        sol = dp.dp_solve(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol is not None and sol.red_covered == inst.budget_red
+    assert peak < dp.table_bytes(inst)
 
 
 PINNED_PROFILES = {
